@@ -31,8 +31,7 @@ print(f"steady amplitude {steady_amplitude(trace):.2f} Vpp (design point 4.0)")
 
 edge = Graph(n=2, edges=((1, 2, 1.0),))
 machine = build_machine(edge, global_scale=0.25, f0=F0)
-pair = run_trace(edge, machine, RunSchedule(free_run_periods=5.0, settle_periods=20.0),
-                 seed=3)
+pair = run_trace(machine, RunSchedule(free_run_periods=5.0, settle_periods=20.0), seed=3)
 
 tail = pair.outputs[int(len(pair.times) * 0.75):]
 corr = np.mean(tail[:, 0] * tail[:, 1]) / np.sqrt(

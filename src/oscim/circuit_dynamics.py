@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import readout
 from .errors import SimulationDiverged
 from .machine import MachineConfig, effective_weights
 
@@ -139,19 +140,6 @@ class OscParams:
 
 
 @dataclass(frozen=True)
-class CircuitState:
-    """Ladder node voltages and amplifier output of one oscillator."""
-
-    v1: float
-    v2: float
-    v3: float
-    u: float
-
-    def as_charges(self) -> tuple[float, float, float]:
-        return (self.u - self.v1, self.v1 - self.v2, self.v2 - self.v3)
-
-
-@dataclass(frozen=True)
 class CircuitTrace:
     """Sampled amplifier outputs (volts) of a network simulation."""
 
@@ -187,42 +175,6 @@ def _sat_funcs(p: OscParams):
         return 1.0 - t * t
 
     return sat, sat_prime, lp, lm
-
-
-def solve_output(Q, drive, p: OscParams, guess=None):
-    """Unique root of u = sat(gain*(drive - u + Q)).
-
-    Q is the summed capacitor voltage (so v3 = u - Q) and drive the signal
-    on the sync path, already sign-resolved by the caller.
-    """
-    c = np.asarray(drive + Q, dtype=float)
-    solve = _make_output_solver(p)
-    return solve(c, guess if guess is not None else np.zeros_like(c))
-
-
-def oscillator_derivative(
-    state: CircuitState, sync_in: float, p: OscParams
-) -> tuple[float, float, float, float]:
-    """Time derivative (dv1, dv2, dv3, du) at a consistent operating point.
-
-    The amplifier output is algebraic, so du/dt follows from the implicit
-    function theorem with the sync input held quasi-static.
-    """
-    q1, q2, q3 = state.as_charges()
-    Q = q1 + q2 + q3
-    u = float(solve_output(np.array(Q), np.array(-p.sync_gain * sync_in), p))
-    v3 = u - Q
-    v2 = v3 + q3
-    v1 = v2 + q2
-    rc = p.rc
-    dq1 = (v1 + v2 + v3) / rc
-    dq2 = (v2 + v3) / rc
-    dq3 = v3 / rc
-    _, sat_prime, _, _ = _sat_funcs(p)
-    x = p.gain * (-p.sync_gain * sync_in - v3)
-    slope = p.gain * float(sat_prime(np.array(x)))
-    du = slope / (1.0 + slope) * (dq1 + dq2 + dq3)
-    return (du - dq1, du - dq1 - dq2, du - dq1 - dq2 - dq3, du)
 
 
 def _integrate_network(
@@ -320,49 +272,6 @@ def resolve_shil_voltage(m: MachineConfig, p: OscParams) -> float:
         return 0.0
     units = DEFAULT_SHIL_UNITS if m.shil.amplitude is None else float(m.shil.amplitude)
     return units * p.sat_level
-
-
-def random_network_state(n: int, p: OscParams, rng: np.random.Generator):
-    """Small random ladder charges: a power-on state before oscillation grows."""
-    q = rng.normal(0.0, 0.05 * p.sat_level, (n, 3))
-    s = np.zeros(n)
-    return q, s
-
-
-def simulate_circuit(
-    m: MachineConfig,
-    p: OscParams,
-    init=None,
-    duration_s: float = 0.02,
-    sample_rate: float = 100.0,
-    rng: np.random.Generator | None = None,
-    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-    rc_scale=None,
-) -> CircuitTrace:
-    """Simulate the network under a fixed sync gate state.
-
-    ``init`` is a (q, s) pair as produced by random_network_state or
-    phases_to_network_state; None draws a power-on state from rng.
-    sample_rate is in samples per nominal period.
-    """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if init is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        init = random_network_state(m.n, p, rng)
-    q0, s0 = init
-    W = effective_weights(m)
-    shil = resolve_shil_voltage(m, p)
-    stride = max(1, int(round(steps_per_period / sample_rate)))
-    if rc_scale is None:
-        rc_scale = 1.0 / (1.0 + np.asarray(m.detuning))
-    times, outputs, _ = _integrate_network(
-        q0, s0, W, shil, 2.0 * m.f0, m.sync_enabled, p, rc_scale,
-        duration_s, steps_per_period, stride, m.f0,
-    )
-    flags = np.full(times.shape, bool(m.sync_enabled))
-    return CircuitTrace(times=times, outputs=outputs, f0=m.f0, sync_flags=flags)
 
 
 def measure_free_run_frequency(trace: CircuitTrace, osc_index: int = 0) -> float:
@@ -482,75 +391,72 @@ def phases_to_network_state(theta, p: OscParams, f0: float):
     return q, s
 
 
-def run_readout_batch(g, m: MachineConfig, sched, seeds) -> list:
+def _protocol_run(m: MachineConfig, sched, seeds, continue_clock: bool):
+    """Seeded protocol runs on the circuit backend, free interval then settle.
+
+    Each run's generator draws its initial phases, then its frequency
+    jitter.  Returns (t_free, u_free, t_on, u_on) with outputs shaped
+    (samples, B, n).  The settle clock restarts at zero unless
+    continue_clock, which carries the SHIL source phase on from the end of
+    the free interval.
+    """
+    window = readout.DetectorParams().settle_periods
+    if sched.settle_periods < window:
+        raise ValueError(
+            f"settle_periods={sched.settle_periods:g} is shorter than the "
+            f"{window:g}-period detector window of the circuit backend"
+        )
+    p = calibrated_params(m.f0)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    theta0 = np.stack([r.uniform(0.0, TWO_PI, m.n) for r in rngs])
+    jitter = np.stack([r.uniform(-FREERUN_JITTER, FREERUN_JITTER, m.n) for r in rngs])
+    q0, s0 = phases_to_network_state(theta0, p, m.f0)
+    rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
+    W = effective_weights(m)
+    shil = resolve_shil_voltage(m, p)
+    stride = 4  # detector fidelity: 100 samples per period
+    t_free, u_free, final = _integrate_network(
+        q0, s0, W, shil, 2.0 * m.f0, False, p, rc_scale,
+        sched.free_run_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
+    )
+    t0 = float(t_free[-1]) if continue_clock and len(t_free) else 0.0
+    t_on, u_on, _ = _integrate_network(
+        final[..., :3], final[..., 3], W, shil, 2.0 * m.f0, True, p, rc_scale,
+        sched.settle_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0, t0=t0,
+    )
+    return t_free, u_free, t_on, u_on
+
+
+def run_readout_batch(m: MachineConfig, sched, seeds) -> list:
     """Protocol steps 1-6 on the circuit backend for a batch of seeded runs.
 
     Free interval simulated with per-oscillator frequency jitter; readout
     through multiplier/limited-integrator detectors against oscillator 1.
     Lock timing is not estimated from waveforms, so results carry None.
     """
-    from .readout import DetectorParams, phase_detector, spins_from_detectors
-
-    n = m.n
-    p = calibrated_params(m.f0)
-    B = len(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    theta0 = np.stack([r.uniform(0.0, TWO_PI, n) for r in rngs])
-    jitter = np.stack([r.uniform(-FREERUN_JITTER, FREERUN_JITTER, n) for r in rngs])
-    q0, s0 = phases_to_network_state(theta0, p, m.f0)
-    rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
-
-    W = effective_weights(m)
-    shil = resolve_shil_voltage(m, p)
-    stride = 4  # detector fidelity: 100 samples per period
-    state_q, state_s = q0, s0
-    if sched.free_run_periods > 0:
-        _, _, final = _integrate_network(
-            state_q, state_s, W, shil, 2.0 * m.f0, False, p, rc_scale,
-            sched.free_run_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
-        )
-        state_q, state_s = final[..., :3], final[..., 3]
-    times, outputs, _ = _integrate_network(
-        state_q, state_s, W, shil, 2.0 * m.f0, True, p, rc_scale,
-        sched.settle_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
-    )
-
-    det = DetectorParams()
+    _, _, times, outputs = _protocol_run(m, sched, seeds, continue_clock=False)
+    det = readout.DetectorParams()
     dt = float(times[1] - times[0])
     period = 1.0 / m.f0
     results = []
-    for b in range(B):
+    for b in range(len(seeds)):
         ref = outputs[:, b, 0]
         values = [
-            phase_detector(outputs[:, b, i], ref, det, dt, period)
-            for i in range(1, n)
+            readout.phase_detector(outputs[:, b, i], ref, det, dt, period)
+            for i in range(1, m.n)
         ]
-        results.append(spins_from_detectors(np.array(values), det.limit))
+        results.append(readout.spins_from_detectors(np.array(values), det.limit))
     return results
 
 
-def run_trace(g, m: MachineConfig, sched, seed) -> CircuitTrace:
-    """One seeded run recorded end to end (free interval plus settle)."""
-    n = m.n
-    p = calibrated_params(m.f0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    theta0 = rng.uniform(0.0, TWO_PI, n)
-    jitter = rng.uniform(-FREERUN_JITTER, FREERUN_JITTER, n)
-    q0, s0 = phases_to_network_state(theta0, p, m.f0)
-    rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
-    W = effective_weights(m)
-    shil = resolve_shil_voltage(m, p)
-    stride = 4
-    t_free, out_free, final = _integrate_network(
-        q0[None], s0[None], W, shil, 2.0 * m.f0, False, p, rc_scale[None],
-        sched.free_run_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
-    )
-    t_on, out_on, _ = _integrate_network(
-        final[..., :3], final[..., 3], W, shil, 2.0 * m.f0, True, p, rc_scale[None],
-        sched.settle_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
-        t0=float(t_free[-1]) if len(t_free) else 0.0,
-    )
+def run_trace(m: MachineConfig, sched, seed) -> CircuitTrace:
+    """Run 0 of run_readout_batch's seeding, recorded end to end.
+
+    The free interval (sync flags 0) and the settle window (1) share one clock.
+    """
+    seeds = np.random.SeedSequence(seed).spawn(1)
+    t_free, u_free, t_on, u_on = _protocol_run(m, sched, seeds, continue_clock=True)
     times = np.concatenate([t_free, t_on])
-    outputs = np.concatenate([out_free[:, 0, :], out_on[:, 0, :]], axis=0)
+    outputs = np.concatenate([u_free[:, 0, :], u_on[:, 0, :]], axis=0)
     flags = np.concatenate([np.zeros(len(t_free), bool), np.ones(len(t_on), bool)])
     return CircuitTrace(times=times, outputs=outputs, f0=m.f0, sync_flags=flags)

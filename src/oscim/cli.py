@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .circuit_dynamics import run_trace
 from .errors import GraphFormatError, SimulationDiverged
 from .formats import (
     document_bytes,
@@ -29,7 +30,9 @@ from .harness import (
     best_operating_point,
     optimal_bitstrings,
     oracle_max_cut,
+    phase_protocol_run,
     run_many,
+    run_seeds,
     sweep_coupling,
 )
 from .machine import (
@@ -40,6 +43,7 @@ from .machine import (
     build_machine,
     resolve_shil_strength,
 )
+from .phase_dynamics import wrap_phase
 from .problems import Graph, IsingProblem, Qubo, ising_to_qubo, qubo_to_ising
 
 DEFAULT_SCALE_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
@@ -135,20 +139,13 @@ def cmd_solve(args) -> int:
 
 
 def _write_trace(args, g, m, sched) -> None:
-    from . import circuit_dynamics as circuit
-    from . import phase_dynamics as phase
-    from .machine import set_sync
-
-    seed0 = np.random.SeedSequence(args.seed).spawn(1)[0]
+    """Run 0 of the solve batch, recorded sample by sample."""
     if args.backend == "phase":
-        rng = np.random.default_rng(seed0)
-        init = phase.random_initial_phases(m.n, rng)
-        trace = phase.simulate(set_sync(m, True), init, sched.settle_periods, rng=rng)
-        times = trace.times
-        values = phase.wrap_phase(trace.thetas)
+        times, thetas = phase_protocol_run(g, m, sched, run_seeds(args.seed, 1))
+        values = wrap_phase(thetas[:, 0, :])
         flags = np.ones(len(times), dtype=int)
     else:
-        trace = circuit.run_trace(g, m, sched, args.seed)
+        trace = run_trace(m, sched, args.seed)
         times = trace.times * m.f0  # express in periods for the CSV contract
         values = trace.outputs
         flags = trace.sync_flags.astype(int)

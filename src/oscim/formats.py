@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import GraphFormatError
-from .problems import Graph, IsingProblem, Qubo
+from .problems import Graph, IsingProblem, Qubo, check_edge
 
 
 def parse_graph_file(text: str) -> Graph:
@@ -47,17 +47,10 @@ def parse_graph_file(text: str) -> Graph:
             w = float(parts[2])
         except ValueError:
             raise GraphFormatError(f"malformed edge line {line!r}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop on vertex {u}", lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"edge ({u},{v}) outside vertex range 1..{n}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
-        if not np.isfinite(w):
-            raise GraphFormatError(f"non-finite weight on edge ({u},{v})", lineno)
-        seen.add(key)
-        edges.append((u, v, w))
+        try:
+            edges.append(check_edge((u, v, w), n, seen))
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), lineno)
     if n is None:
         raise GraphFormatError("missing 'n <count>' header")
     return Graph(n=n, edges=tuple(edges))
@@ -106,12 +99,6 @@ def problem_from_document(doc: dict) -> IsingProblem | Qubo:
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed {kind or 'problem'} document: {exc}")
     raise GraphFormatError("cannot detect problem kind (expected 'Q' or 'J' matrix)")
-
-
-def dump_document(doc: dict, fp: TextIO) -> None:
-    """Canonical JSON serialization: sorted keys, stable float repr."""
-    json.dump(doc, fp, sort_keys=True, indent=2)
-    fp.write("\n")
 
 
 def document_bytes(doc: dict) -> str:

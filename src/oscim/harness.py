@@ -18,12 +18,7 @@ from . import circuit_dynamics as circuit
 from . import phase_dynamics as phase
 from .machine import MachineConfig, set_global_scale, set_sync
 from .problems import Graph, brute_force_max_cut, cut_value
-from .readout import (
-    DEFAULT_HOLD_PERIODS,
-    DEFAULT_TOLERANCE_RAD,
-    ReadoutResult,
-    spins_from_phases,
-)
+from .readout import ReadoutResult, lock_period, spins_from_phases
 
 BACKENDS = ("phase", "circuit")
 
@@ -62,8 +57,8 @@ class RunResult:
 
     The bitstring maps spin +1 -> '0', -1 -> '1' and is normalized so the
     reference oscillator (leftmost character) reads '0'.  lock_period is
-    None when the run never stabilized into a binarized state; the circuit
-    backend reports None always (it has no phase trace to time).
+    readout.lock_period of the run's trace, None when the run never locked;
+    the circuit backend reports None always (it has no phase trace to time).
     """
 
     bitstring: str
@@ -79,7 +74,10 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Aggregate over runs; histogram keys are normalized bitstrings."""
+    """Aggregate over runs, plus the runs themselves in seed order.
+
+    Histogram keys are normalized bitstrings.
+    """
 
     histogram: dict[str, int]
     runs: int
@@ -87,6 +85,7 @@ class RunStats:
     mean_lock_period: float | None
     locked_fraction: float
     unresolved_rate: float
+    run_results: tuple[RunResult, ...]
 
     def __post_init__(self):
         if sum(self.histogram.values()) != self.runs:
@@ -156,114 +155,79 @@ def _result_from_readout(
     )
 
 
+def phase_protocol_run(
+    g: Graph,
+    m: MachineConfig,
+    sched: RunSchedule,
+    seeds: list[np.random.SeedSequence],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded protocol runs on the phase backend: (times (S,), thetas (S, B, n)).
+
+    Each run's generator draws its initial phases, then its noise; all runs
+    share one integration loop, which keeps run b identical to a batch of
+    seeds[b] alone.
+    """
+    n = m.n
+    rngs = [np.random.default_rng(s) for s in seeds]
+    theta0 = np.stack([phase.random_initial_phases(n, r).theta for r in rngs])
+    K, Ks = phase.coupling_terms(set_sync(m, True))
+    delta = np.asarray(m.detuning)
+    n_steps = int(round(sched.settle_periods * phase.DEFAULT_STEPS_PER_PERIOD))
+    noise = None
+    if m.noise_sigma > 0:
+        noise = np.stack([r.standard_normal((n_steps, n)) for r in rngs], axis=1)
+    if sched.staggered_delays is None:
+        return phase.integrate_batch(
+            theta0, K, Ks, delta, sched.settle_periods,
+            noise_sigma=m.noise_sigma, noise=noise,
+        )
+    return _integrate_staggered(g, sched, theta0, K, Ks, delta, m.noise_sigma, noise)
+
+
+def _integrate_staggered(g, sched, theta0, K, Ks, delta, noise_sigma, noise):
+    """Piecewise integration enabling each edge at its scheduled delay.
+
+    Delays are rounded to whole RK4 steps, so the segments add up to exactly
+    the steps the noise was drawn for.
+    """
+    spp = phase.DEFAULT_STEPS_PER_PERIOD
+    n_steps = int(round(sched.settle_periods * spp))
+    on_at = [int(round(d * spp)) for d in sched.staggered_delays]
+    bounds = sorted({0, n_steps} | {k for k in on_at if k < n_steps})
+    times, thetas = [], []
+    theta = theta0
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        mask = np.zeros_like(K)
+        for (u, v, _), k in zip(g.edges, on_at):
+            if k <= start:
+                mask[u - 1, v - 1] = mask[v - 1, u - 1] = 1.0
+        t, th = phase.integrate_batch(
+            theta, K * mask, Ks, delta, (end - start) / spp,
+            noise_sigma=noise_sigma, noise=None if noise is None else noise[start:end],
+        )
+        theta = th[-1]
+        skip = 1 if times else 0  # a segment's first sample ends the previous one
+        times.append(t[skip:] + start / spp)
+        thetas.append(th[skip:])
+    return np.concatenate(times), np.concatenate(thetas)
+
+
 def _phase_run_batch(
     g: Graph,
     m: MachineConfig,
     sched: RunSchedule,
     seeds: list[np.random.SeedSequence],
 ) -> list[RunResult]:
-    """All runs of one batch share the integration loop; see module docstring."""
     optimum, _ = oracle_max_cut(g)
-    B = len(seeds)
-    n = m.n
-    rngs = [np.random.default_rng(s) for s in seeds]
-    theta0 = np.stack([phase.random_initial_phases(n, r).theta for r in rngs])
-
-    m_on = set_sync(m, True)
-    K, Ks = phase.coupling_terms(m_on)
-    delta = np.asarray(m.detuning)
-    n_steps = int(round(sched.settle_periods * phase.DEFAULT_STEPS_PER_PERIOD))
-    noise = None
-    if m.noise_sigma > 0:
-        noise = np.stack([r.standard_normal((n_steps, n)) for r in rngs], axis=1)
-
-    if sched.staggered_delays is None:
-        times, thetas = phase.integrate_batch(
-            theta0, K, Ks, delta, sched.settle_periods,
-            noise_sigma=m.noise_sigma, noise=noise,
-        )
-    else:
-        times, thetas = _integrate_staggered(g, m_on, sched, theta0, noise)
-
+    times, thetas = phase_protocol_run(g, m, sched, seeds)
     results = []
-    for b in range(B):
+    for b in range(len(seeds)):
         trace = phase.PhaseTrace(
             times=times, thetas=thetas[:, b, :], sync_events=((0.0, True),)
         )
         readout = spins_from_phases(trace.final_state())
-        lock = _stable_lock_period(trace)
-        results.append(_result_from_readout(g, readout, lock, optimum))
+        results.append(_result_from_readout(g, readout, lock_period(trace), optimum))
     return results
-
-
-def _integrate_staggered(g, m_on, sched, theta0, noise):
-    """Piecewise integration enabling edge weights at their scheduled delays."""
-    from .machine import effective_weights
-    from .phase_dynamics import integrate_batch
-
-    delays = sched.staggered_delays
-    if len(delays) != len(g.edges):
-        raise ValueError("need one delay per edge")
-    w_full = effective_weights(m_on)
-    Ks = phase.coupling_terms(m_on)[1]
-    delta = np.asarray(m_on.detuning)
-    boundaries = sorted(set([0.0] + [d for d in delays if d < sched.settle_periods]))
-    boundaries.append(sched.settle_periods)
-    all_times = None
-    all_thetas = None
-    theta = theta0
-    offset = 0
-    spp = phase.DEFAULT_STEPS_PER_PERIOD
-    for start, end in zip(boundaries[:-1], boundaries[1:]):
-        if end - start <= 0:
-            continue
-        mask = np.zeros_like(w_full)
-        for e, (u, v, _) in enumerate(g.edges):
-            if delays[e] <= start:
-                mask[u - 1, v - 1] = mask[v - 1, u - 1] = 1.0
-        K = -(w_full * mask)
-        n_steps = int(round((end - start) * spp))
-        seg_noise = None
-        if noise is not None:
-            seg_noise = noise[offset:offset + n_steps]
-        times, thetas = integrate_batch(
-            theta, K, Ks, delta, end - start,
-            noise_sigma=m_on.noise_sigma, noise=seg_noise,
-        )
-        theta = thetas[-1]
-        offset += n_steps
-        if all_times is None:
-            all_times, all_thetas = times + start, thetas
-        else:
-            all_times = np.concatenate([all_times, times[1:] + start])
-            all_thetas = np.concatenate([all_thetas, thetas[1:]], axis=0)
-    return all_times, all_thetas
-
-
-def _stable_lock_period(trace: phase.PhaseTrace) -> float | None:
-    """Lock time that also requires the run to end binarized.
-
-    The raw first-window detector (readout.lock_period) can fire on a
-    transient visit to a near-binary saddle; a run only counts as stabilized
-    when its final state is still within tolerance, matching protocol step 5
-    ("wait until the phase relationships have stabilized").
-    """
-    final_ok = (
-        phase.binary_distance(trace.thetas[-1]) <= DEFAULT_TOLERANCE_RAD
-    ).all()
-    if not final_ok:
-        return None
-    times = trace.times
-    ok = (phase.binary_distance(trace.thetas) <= DEFAULT_TOLERANCE_RAD).all(axis=1)
-    bad = np.nonzero(~ok)[0]
-    start = 0 if bad.size == 0 else bad[-1] + 1
-    if start >= len(times):
-        return None
-    t_on = trace.sync_on_time() or 0.0
-    lock = float(times[start] - t_on)
-    if times[-1] - times[start] < DEFAULT_HOLD_PERIODS:
-        return None
-    return lock
 
 
 def _circuit_run_batch(
@@ -273,7 +237,7 @@ def _circuit_run_batch(
     seeds: list[np.random.SeedSequence],
 ) -> list[RunResult]:
     optimum, _ = oracle_max_cut(g)
-    readouts = circuit.run_readout_batch(g, m, sched, seeds)
+    readouts = circuit.run_readout_batch(m, sched, seeds)
     return [_result_from_readout(g, ro, None, optimum) for ro in readouts]
 
 
@@ -288,11 +252,6 @@ def run_once(
     return run_many(g, m, backend, sched, runs=1, seed=seed).run_results[0]
 
 
-@dataclass(frozen=True)
-class _StatsWithRuns(RunStats):
-    run_results: tuple[RunResult, ...] = ()
-
-
 def run_many(
     g: Graph,
     m: MachineConfig,
@@ -301,7 +260,7 @@ def run_many(
     runs: int = 100,
     seed=0,
     parallel: bool = True,
-) -> "_StatsWithRuns":
+) -> RunStats:
     """Aggregate run_once over counter-split seeds.
 
     parallel=True executes all runs in one vectorized batch; False runs
@@ -314,6 +273,8 @@ def run_many(
     if g.n > m.n:
         raise ValueError(f"graph ({g.n} vertices) larger than machine ({m.n})")
     sched = sched or RunSchedule()
+    if sched.staggered_delays is not None and len(sched.staggered_delays) != len(g.edges):
+        raise ValueError("need one delay per edge")
     seeds = run_seeds(seed, runs)
     batch_fn = _phase_run_batch if backend == "phase" else _circuit_run_batch
     if parallel:
@@ -325,13 +286,13 @@ def run_many(
     return _aggregate(results)
 
 
-def _aggregate(results: list[RunResult]) -> _StatsWithRuns:
+def _aggregate(results: list[RunResult]) -> RunStats:
     histogram: dict[str, int] = {}
     for r in results:
         histogram[r.bitstring] = histogram.get(r.bitstring, 0) + 1
     locks = [r.lock_period for r in results if r.lock_period is not None]
     n_spins = len(results[0].bitstring)
-    return _StatsWithRuns(
+    return RunStats(
         histogram=histogram,
         runs=len(results),
         success_rate=sum(r.optimal for r in results) / len(results),
@@ -411,8 +372,6 @@ def staggered_activation_experiment(
     With all-zero delays the two arms are identical.
     """
     base = sched or RunSchedule()
-    if delays and len(delays) != len(g.edges):
-        raise ValueError("need one delay per edge")
     delays = delays or tuple(0.0 for _ in g.edges)
     max_delay = max(delays) if delays else 0.0
     staggered_sched = RunSchedule(
@@ -420,16 +379,7 @@ def staggered_activation_experiment(
         settle_periods=base.settle_periods + max_delay,
         staggered_delays=delays,
     )
-    def strip(s: RunStats) -> RunStats:
-        return RunStats(
-            histogram=s.histogram,
-            runs=s.runs,
-            success_rate=s.success_rate,
-            mean_lock_period=s.mean_lock_period,
-            locked_fraction=s.locked_fraction,
-            unresolved_rate=s.unresolved_rate,
-        )
-
-    simultaneous = run_many(g, m, backend, base, runs=runs, seed=seed)
+    # staggered arm first: run_many rejects a wrong delay count before any work
     staggered = run_many(g, m, backend, staggered_sched, runs=runs, seed=seed)
-    return StaggerComparison(simultaneous=strip(simultaneous), staggered=strip(staggered))
+    simultaneous = run_many(g, m, backend, base, runs=runs, seed=seed)
+    return StaggerComparison(simultaneous=simultaneous, staggered=staggered)

@@ -67,7 +67,6 @@ class CouplingMatrix:
     codes: np.ndarray
     signs: np.ndarray
     quantizer: Quantizer = field(default_factory=Quantizer)
-    symmetric: bool = True
 
     def __post_init__(self):
         codes = np.array(self.codes, dtype=int)
@@ -80,10 +79,8 @@ class CouplingMatrix:
             raise ValueError("signs must be -1, 0 or +1")
         if np.any(np.diag(codes) != 0) or np.any(np.diag(signs) != 0):
             raise ValueError("no self-coupling: diagonal must be zero")
-        if self.symmetric and not (
-            np.array_equal(codes, codes.T) and np.array_equal(signs, signs.T)
-        ):
-            raise ValueError("symmetric flag set but planes are not symmetric")
+        if not (np.array_equal(codes, codes.T) and np.array_equal(signs, signs.T)):
+            raise ValueError("coupling planes must be symmetric")
         codes.setflags(write=False)
         signs.setflags(write=False)
         object.__setattr__(self, "codes", codes)
@@ -97,19 +94,16 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class ShilConfig:
-    """Second-harmonic injection source.
+    """Second-harmonic injection source, always at twice the oscillator frequency.
 
     ``amplitude`` is the dimensionless injection strength; leave it None to
     use the per-problem default rule (see ``resolve_shil_strength``).
     """
 
-    frequency_ratio: float = 2.0
     amplitude: float | None = None
     enabled: bool = True
 
     def __post_init__(self):
-        if self.frequency_ratio != 2.0:
-            raise ValueError("frequency_ratio is fixed at 2.0")
         if self.amplitude is not None and self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
 

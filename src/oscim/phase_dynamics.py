@@ -156,30 +156,6 @@ def random_initial_phases(n: int, rng: np.random.Generator) -> PhaseState:
     return PhaseState(theta=rng.uniform(0.0, TWO_PI, n), t=0.0)
 
 
-def step(
-    state: PhaseState,
-    m: MachineConfig,
-    dt: float,
-    rng: np.random.Generator | None = None,
-) -> PhaseState:
-    """One classical RK4 step of dt periods, plus optional phase noise.
-
-    Noise adds Gaussian increments of std noise_sigma*sqrt(dt) after the
-    deterministic update; with noise_sigma == 0 the result is bit-identical
-    across repeated calls.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    K, Ks = coupling_terms(m)
-    delta = np.asarray(m.detuning)
-    theta = _rk4(state.theta, K, Ks, delta, dt)
-    if m.noise_sigma > 0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
-        theta = theta + m.noise_sigma * np.sqrt(dt) * rng.standard_normal(theta.shape)
-    return PhaseState(theta=theta, t=state.t + dt)
-
-
 def _rk4(theta, K, Ks, delta, dt):
     # time in periods; rhs is per radian time
     h = TWO_PI * dt
@@ -232,10 +208,11 @@ def integrate_batch(
             times.append((k + 1) * dt)
             samples.append(theta.copy())
     thetas = np.stack(samples)
-    if not np.isfinite(thetas[-1]).all():
-        bad = np.argwhere(~np.isfinite(thetas[-1]))
+    finite = np.isfinite(thetas)
+    if not finite.all():
+        s, b, i = (int(x) for x in np.argwhere(~finite)[0])
         raise SimulationDiverged(
-            f"non-finite phase at t={times[-1]:.3f} periods (first index {tuple(bad[0])})"
+            f"non-finite phase at t={times[s]:.3f} periods (run {b}, oscillator {i})"
         )
     return np.array(times), thetas
 
@@ -246,7 +223,6 @@ def simulate(
     duration_periods: float,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     rng: np.random.Generator | None = None,
-    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
 ) -> PhaseTrace:
     """Integrate one run under a fixed machine configuration.
 
@@ -258,7 +234,7 @@ def simulate(
     if init.n != m.n:
         raise ValueError("initial state size does not match machine size")
     K, Ks = coupling_terms(m)
-    n_steps = int(round(duration_periods * steps_per_period))
+    n_steps = int(round(duration_periods * DEFAULT_STEPS_PER_PERIOD))
     noise = None
     if m.noise_sigma > 0:
         if rng is None:
@@ -270,7 +246,6 @@ def simulate(
         Ks,
         np.asarray(m.detuning),
         duration_periods,
-        steps_per_period=steps_per_period,
         sample_rate=sample_rate,
         noise_sigma=m.noise_sigma,
         noise=noise,

@@ -22,6 +22,26 @@ MAX_BRUTE_FORCE_N = 24
 _CHUNK_BITS = 16
 
 
+def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, float]:
+    """One edge (u, v, w) of a graph on vertices 1..n, returned with u < v.
+
+    Rejects self-loops, vertices outside 1..n, pairs already in ``seen``
+    and non-finite weights; records the accepted pair in ``seen``.
+    """
+    u, v, w = int(edge[0]), int(edge[1]), float(edge[2])
+    if u == v:
+        raise ValueError(f"self-loop on vertex {u}")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ValueError(f"edge ({u},{v}) outside vertex range 1..{n}")
+    u, v = min(u, v), max(u, v)
+    if (u, v) in seen:
+        raise ValueError(f"duplicate edge ({u},{v})")
+    if not np.isfinite(w):
+        raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
+    seen.add((u, v))
+    return u, v, w
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected edge-weighted graph with 1-indexed vertices 1..n.
@@ -36,23 +56,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        normalized = []
-        seen = set()
-        for e in self.edges:
-            u, v, w = int(e[0]), int(e[1]), float(e[2])
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) outside vertex range 1..{self.n}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            if not np.isfinite(w):
-                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
-            seen.add((u, v))
-            normalized.append((u, v, w))
-        object.__setattr__(self, "edges", tuple(normalized))
+        seen: set[tuple[int, int]] = set()
+        edges = tuple(check_edge(e, self.n, seen) for e in self.edges)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def total_weight(self) -> float:
@@ -127,16 +133,6 @@ def validate_spins(spins, n: int) -> np.ndarray:
     if not np.all(np.abs(s) == 1):
         raise ValueError("spins must be exactly -1 or +1")
     return s.astype(int)
-
-
-def spins_to_partition(spins) -> tuple[str, ...]:
-    """Bijective spin -> side labels: +1 -> 'A', -1 -> 'B'."""
-    s = np.asarray(spins)
-    return tuple("A" if v > 0 else "B" for v in s)
-
-
-def partition_to_spins(side) -> np.ndarray:
-    return np.array([1 if lab == "A" else -1 for lab in side], dtype=int)
 
 
 def graph_to_ising(g: Graph) -> IsingProblem:

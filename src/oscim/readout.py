@@ -49,7 +49,6 @@ class ReadoutResult:
     spins: tuple[int, ...]
     detector_values: tuple[float, ...]
     resolved: tuple[bool, ...]
-    lock_period: float | None = None
 
     @property
     def n(self) -> int:
@@ -138,30 +137,19 @@ def spins_from_detectors(
     )
 
 
-def lock_period(
-    trace: PhaseTrace,
-    tolerance_rad: float = DEFAULT_TOLERANCE_RAD,
-    hold_periods: float = DEFAULT_HOLD_PERIODS,
-) -> float | None:
-    """First time (periods after sync-on) every phase stays binarized.
+def lock_period(trace: PhaseTrace) -> float | None:
+    """Lock time in periods after sync-on, or None if the run never locks.
 
-    A lock requires all phases within tolerance of {0, pi} continuously for
-    hold_periods; returns None when that never happens or sync never turns
-    on within the trace.
+    A run locks only if it ends binarized (every phase within
+    DEFAULT_TOLERANCE_RAD of {0, pi}); the lock starts at its last
+    binarized stretch, which must last DEFAULT_HOLD_PERIODS.  A transient
+    visit to a near-binary saddle therefore does not count.
     """
-    t_on = trace.sync_on_time()
-    if t_on is None:
+    ok = (binary_distance(trace.thetas) <= DEFAULT_TOLERANCE_RAD).all(axis=1)
+    if not ok[-1]:
         return None
-    mask = trace.times >= t_on
-    times = trace.times[mask]
-    ok = (binary_distance(trace.thetas[mask]) <= tolerance_rad).all(axis=1)
-    run_start = None
-    for i, good in enumerate(ok):
-        if good and run_start is None:
-            run_start = i
-        elif not good:
-            run_start = None
-            continue
-        if run_start is not None and times[i] - times[run_start] >= hold_periods:
-            return float(times[run_start] - t_on)
-    return None
+    bad = np.nonzero(~ok)[0]
+    start = 0 if bad.size == 0 else bad[-1] + 1
+    if trace.times[-1] - trace.times[start] < DEFAULT_HOLD_PERIODS:
+        return None
+    return float(trace.times[start] - (trace.sync_on_time() or 0.0))

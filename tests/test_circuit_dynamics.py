@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from oscim.circuit_dynamics import (
-    CircuitState,
     CircuitTrace,
     OscParams,
     _integrate_network,
+    _make_output_solver,
     calibrate,
     calibrated_params,
     free_run_trace,
     measure_free_run_frequency,
-    oscillator_derivative,
     phases_to_network_state,
-    solve_output,
+    run_trace,
     steady_amplitude,
 )
+from oscim.harness import RunSchedule
+from oscim.machine import build_machine
+from oscim.problems import Graph
 
 TWO_PI = 2 * np.pi
 F0 = 3800.0
@@ -60,17 +62,16 @@ class TestOscillationCondition:
 
 class TestOscillatorDerivative:
     def test_quiescent_point(self):
-        p = OscParams()
-        d = oscillator_derivative(CircuitState(0.0, 0.0, 0.0, 0.0), 0.0, p)
-        assert np.allclose(d, 0.0, atol=1e-12)
+        # zero charges and zero sync drive: the output solves to 0 from any guess
+        u = _make_output_solver(OscParams())(np.zeros(3), np.full(3, 0.7))
+        assert np.allclose(u, 0.0, atol=1e-12)
 
     def test_dc_sync_inverts(self):
         # a positive DC sync offset settles the output negative
         p = OscParams()
-        u = float(solve_output(np.zeros(()), np.array(-p.sync_gain * 0.5), p))
-        assert u < 0
-        u = float(solve_output(np.zeros(()), np.array(-p.sync_gain * -0.5), p))
-        assert u > 0
+        solve = _make_output_solver(p)
+        assert float(solve(np.array(-p.sync_gain * 0.5), np.zeros(()))) < 0
+        assert float(solve(np.array(-p.sync_gain * -0.5), np.zeros(()))) > 0
 
 
 class TestSolver:
@@ -79,9 +80,9 @@ class TestSolver:
         rng = np.random.default_rng(3)
         c = rng.normal(0, 2.0, 500)
         guess = rng.normal(0, 2.0, 500)
-        u = solve_output(c, np.zeros(500), p, guess=guess)
+        u = _make_output_solver(p)(c, guess)
         sat_level = p.sat_level
-        x = p.gain * (np.zeros(500) + c - u)
+        x = p.gain * (c - u)
         res = u - np.where(x >= 0, sat_level * np.tanh(x / sat_level),
                            sat_level * np.tanh(x / sat_level))
         assert np.max(np.abs(res)) < 1e-9
@@ -181,32 +182,22 @@ class TestCoupledPair:
         assert abs(abs(dphi) - 180.0) < 10.0
 
 
+@pytest.fixture(scope="module")
+def edge_trace(params):
+    m = build_machine(Graph(n=2, edges=((1, 2, 1.0),)), global_scale=0.2, f0=F0)
+    return run_trace(m, RunSchedule(free_run_periods=20.0, settle_periods=5.0), seed=4)
+
+
 class TestSimulateCircuit:
-    def test_free_running_machine_trace(self, params):
-        from oscim.circuit_dynamics import simulate_circuit
-        from oscim.machine import build_machine
-        from oscim.problems import Graph
+    def test_free_running_machine_trace(self, edge_trace):
+        assert edge_trace.n == 2
+        # sync off for the free interval: 100 samples per period over 20 periods
+        assert abs(int((~edge_trace.sync_flags).sum()) - 2000) <= 2
+        assert not edge_trace.sync_flags[:2000].any()
 
-        g = Graph(n=2, edges=((1, 2, 1.0),))
-        m = build_machine(g, f0=F0)  # sync off after build
-        rng = np.random.default_rng(4)
-        trace = simulate_circuit(m, params, duration_s=20 / F0, rng=rng)
-        assert trace.n == 2
-        assert not trace.sync_flags.any()
-        # 100 samples per period over 20 periods
-        assert abs(len(trace.times) - 2000) <= 2
-
-    def test_divergence_guard_is_quiet_on_normal_runs(self, params):
-        from oscim.circuit_dynamics import simulate_circuit
-        from oscim.machine import build_machine, set_sync
-        from oscim.problems import Graph
-
-        g = Graph(n=2, edges=((1, 2, 1.0),))
-        m = set_sync(build_machine(g, global_scale=0.2, f0=F0), True)
-        trace = simulate_circuit(m, params, duration_s=10 / F0,
-                                 rng=np.random.default_rng(1))
-        assert np.isfinite(trace.outputs).all()
-        assert trace.sync_flags.all()
+    def test_divergence_guard_is_quiet_on_normal_runs(self, edge_trace):
+        assert np.isfinite(edge_trace.outputs).all()
+        assert edge_trace.sync_flags[-500:].all()
 
 
 class TestGateIndependence:

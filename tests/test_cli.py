@@ -91,6 +91,18 @@ class TestSolve:
         del da["config"]["parallel"], db["config"]["parallel"]
         assert da == db
 
+    def test_circuit_settle_shorter_than_detector_exits_1(self, edge_file, monkeypatch, capsys):
+        from oscim import circuit_dynamics
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the settle check")
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_calibration)
+        rc = main(["solve", "--graph", edge_file, "--backend", "circuit",
+                   "--runs", "2", "--settle-periods", "3"])
+        assert rc == 1
+        assert "settle_periods" in capsys.readouterr().err
+
     def test_trace_csv(self, edge_file, tmp_path):
         trace = tmp_path / "trace.csv"
         rc = main([

@@ -45,6 +45,10 @@ class TestParseGraphFile:
         with pytest.raises(GraphFormatError, match="outside"):
             parse_graph_file("n 2\n1 3 1.0\n")
 
+    def test_non_finite_weight_with_line(self):
+        with pytest.raises(GraphFormatError, match="line 3.*non-finite"):
+            parse_graph_file("n 3\n1 2 1.0\n2 3 nan\n")
+
     def test_malformed_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
             parse_graph_file("# c\nn 2\n1 2\n")

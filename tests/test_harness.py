@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from oscim import circuit_dynamics
 from oscim.harness import (
     RunSchedule,
+    _integrate_staggered,
     best_operating_point,
     optimal_bitstrings,
     run_many,
@@ -12,7 +14,7 @@ from oscim.harness import (
     staggered_activation_experiment,
     sweep_coupling,
 )
-from oscim.machine import ShilConfig, build_machine
+from oscim.machine import build_machine, effective_weights
 from oscim.problems import Graph
 
 EDGE = Graph(n=2, edges=((1, 2, 1.0),))
@@ -82,6 +84,16 @@ class TestRunMany:
         with pytest.raises(ValueError, match="larger"):
             run_many(TRIANGLE, m, runs=1, seed=0)
 
+    def test_circuit_settle_shorter_than_detector_fails_first(self, monkeypatch):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the settle check")
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_calibration)
+        m = build_machine(EDGE, global_scale=0.2)
+        with pytest.raises(ValueError, match="settle_periods=3 .*5-period"):
+            run_many(EDGE, m, backend="circuit", sched=RunSchedule(settle_periods=3.0),
+                     runs=1, seed=0)
+
     def test_noise_runs_are_seeded(self):
         m = build_machine(EDGE, global_scale=0.2, noise_sigma=0.05)
         a = run_many(EDGE, m, runs=4, seed=13)
@@ -142,10 +154,29 @@ class TestStaggered:
         assert cmp.staggered.runs == 6
         assert 0.0 <= cmp.staggered.success_rate <= 1.0
 
+    def test_noise_with_delays_off_the_step_grid(self):
+        m = build_machine(TRIANGLE, global_scale=0.2, noise_sigma=0.05)
+        delays = (0.0, 0.0075, 0.015)
+        cmp = staggered_activation_experiment(TRIANGLE, m, delays=delays, runs=2, seed=2)
+        assert cmp.staggered.runs == 2
+        sched = RunSchedule(settle_periods=15.015, staggered_delays=delays)
+        n_steps = 3003  # round(15.015 * 200): the steps the noise is drawn for
+        K = -effective_weights(m)
+        noise = np.random.default_rng(0).standard_normal((n_steps, 2, 3))
+        times, thetas = _integrate_staggered(
+            TRIANGLE, sched, np.zeros((2, 3)), K, 0.1, np.zeros(3), 0.05, noise
+        )
+        assert times[-1] == pytest.approx(n_steps / 200, abs=1e-12)
+        assert thetas.shape == (len(times), 2, 3)
+
     def test_wrong_delay_count(self):
         m = build_machine(TRIANGLE)
         with pytest.raises(ValueError, match="per edge"):
             staggered_activation_experiment(TRIANGLE, m, delays=(1.0,), runs=2, seed=0)
+        sched = RunSchedule(staggered_delays=(1.0,))
+        for backend in ("phase", "circuit"):
+            with pytest.raises(ValueError, match="per edge"):
+                run_many(TRIANGLE, m, backend, sched, runs=1, seed=0)
 
 
 class TestOptimalBitstrings:

@@ -173,7 +173,3 @@ class TestShilResolution:
     def test_unprogrammed_machine_keeps_default(self):
         m = build_machine(Graph(n=4, edges=()))
         assert resolve_shil_strength(m) == 0.1
-
-    def test_frequency_ratio_fixed(self):
-        with pytest.raises(ValueError):
-            ShilConfig(frequency_ratio=3.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oscim.errors import SimulationDiverged
 from oscim.machine import ShilConfig, build_machine, set_sync
 from oscim.phase_dynamics import (
     PhaseState,
@@ -13,7 +14,6 @@ from oscim.phase_dynamics import (
     phase_derivative,
     random_initial_phases,
     simulate,
-    step,
     wrap_phase,
 )
 from oscim.problems import Graph
@@ -72,42 +72,50 @@ class TestPhaseDerivative:
             assert np.allclose(d, -grad, atol=1e-6)
 
 
+def rk4_run(m, theta0, steps_per_period, duration_periods=1.0):
+    """Noise-free integrate_batch of one run; returns (times, final phases)."""
+    K, Ks = coupling_terms(m)
+    times, thetas = integrate_batch(
+        np.asarray(theta0, float)[None, :], K, Ks, np.asarray(m.detuning),
+        duration_periods, steps_per_period=steps_per_period,
+    )
+    return times, thetas[-1, 0]
+
+
 class TestStep:
     def test_zero_derivative_keeps_state(self):
         m = machine_on()
-        s0 = PhaseState(theta=np.array([0.0, np.pi]))
-        s1 = step(s0, m, dt=0.01)
-        assert np.allclose(s1.theta, s0.theta, atol=1e-14)
-        assert s1.t == pytest.approx(0.01)
+        times, theta = rk4_run(m, [0.0, np.pi], steps_per_period=100, duration_periods=0.01)
+        assert np.allclose(theta, [0.0, np.pi], atol=1e-14)
+        assert times[-1] == pytest.approx(0.01)
 
     def test_deterministic_without_noise(self):
         m = machine_on(global_scale=0.25)
-        s0 = PhaseState(theta=np.array([0.2, 2.3]))
-        a = step(s0, m, dt=0.005)
-        b = step(s0, m, dt=0.005)
-        assert np.array_equal(a.theta, b.theta)
+        _, a = rk4_run(m, [0.2, 2.3], steps_per_period=200, duration_periods=0.005)
+        _, b = rk4_run(m, [0.2, 2.3], steps_per_period=200, duration_periods=0.005)
+        assert np.array_equal(a, b)
 
     def test_rk4_convergence_order(self):
         # halving dt should shrink the global error ~16x over a fixed horizon
         m = machine_on(global_scale=0.3, shil=ShilConfig(amplitude=0.2))
-        theta0 = np.array([0.7, 2.9])
-
-        def integrate(dt, steps):
-            s = PhaseState(theta=theta0)
-            for _ in range(steps):
-                s = step(s, m, dt)
-            return s.theta
-
-        ref = integrate(1.0 / 3200, 3200)
-        err1 = np.abs(integrate(1.0 / 100, 100) - ref).max()
-        err2 = np.abs(integrate(1.0 / 200, 200) - ref).max()
+        theta0 = [0.7, 2.9]
+        _, ref = rk4_run(m, theta0, steps_per_period=3200)
+        err1 = np.abs(rk4_run(m, theta0, steps_per_period=100)[1] - ref).max()
+        err2 = np.abs(rk4_run(m, theta0, steps_per_period=200)[1] - ref).max()
         order = np.log2(err1 / err2)
         assert 3.5 < order < 4.5
 
     def test_noise_requires_rng(self):
         m = machine_on(noise_sigma=0.1)
         with pytest.raises(ValueError, match="rng"):
-            step(PhaseState(theta=np.zeros(2)), m, dt=0.01)
+            simulate(m, PhaseState(theta=np.zeros(2)), duration_periods=0.01)
+
+    def test_divergence_names_first_bad_sample(self):
+        m = machine_on()
+        K, Ks = coupling_terms(m)
+        theta0 = np.array([[0.0, 1.0], [np.nan, 2.0]])
+        with pytest.raises(SimulationDiverged, match=r"t=0\.000 periods \(run 1, oscillator 0\)"):
+            integrate_batch(theta0, K, Ks, np.zeros(2), 3.0)
 
 
 class TestRandomInitialPhases:

@@ -13,10 +13,8 @@ from oscim.problems import (
     energy,
     graph_to_ising,
     ising_to_qubo,
-    partition_to_spins,
     qubo_to_ising,
     qubo_value,
-    spins_to_partition,
 )
 
 TRIANGLE = Graph(n=3, edges=((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)))
@@ -241,11 +239,3 @@ class TestQuboConversions:
     def test_rejects_lower_triangle(self):
         with pytest.raises(ValueError, match="upper-triangular"):
             Qubo(n=2, Q=[[1.0, 0.0], [0.5, 1.0]])
-
-
-class TestPartition:
-    def test_bijection(self):
-        spins = np.array([1, -1, 1])
-        side = spins_to_partition(spins)
-        assert side == ("A", "B", "A")
-        assert np.array_equal(partition_to_spins(side), spins)
