@@ -32,6 +32,7 @@ outright, at which point the network just follows the forcing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,43 +62,41 @@ _RESIDUAL_TOL = 1e-11
 
 
 def _make_output_solver(p: "OscParams"):
-    """Solver for u = sat(gain*(c - u)) with c = drive + Q.
+    """Solver for u = sat(gain*(c - u)) with c = drive + Q, sat(x) = L*tanh(x/L).
 
     The residual u - sat(...) is strictly increasing in u, so the root is
     unique and bracketed by the saturation rails.  A few warm-started
-    Newton steps handle the common case; any elements still unconverged
-    fall back to bisection, which cannot fail on a monotone residual.
+    Newton steps handle the common case; elements still unconverged fall
+    back to bisection, which cannot fail on a monotone residual.  An element
+    stops once its own residual is within tolerance, so each element's
+    result is independent of the others in the batch.
     """
-    sat, sat_prime, lp, lm = _sat_funcs(p)
     G = p.gain
+    L = p.sat_level
 
     def solve(c, guess):
-        lo = np.full(c.shape, -lm)
-        hi = np.full(c.shape, lp)
+        lo = np.full(c.shape, -L)
+        hi = np.full(c.shape, L)
         u = np.clip(guess, lo, hi)
-        fu = None
-        for _ in range(_NEWTON_ITERS):
-            x = G * (c - u)
-            fu = u - sat(x)
-            if np.max(np.abs(fu)) < _RESIDUAL_TOL:
+        for it in range(_NEWTON_ITERS + 1):
+            t = np.tanh(G * (c - u) / L)
+            fu = u - L * t
+            live = np.abs(fu) >= _RESIDUAL_TOL
+            if not live.any():
                 return u
             hi = np.where(fu > 0, u, hi)
             lo = np.where(fu <= 0, u, lo)
-            un = u - fu / (1.0 + G * sat_prime(x))
+            if it == _NEWTON_ITERS:
+                break
+            un = u - fu / (1.0 + G * (1.0 - t * t))
             outside = (un <= lo) | (un >= hi)
-            u = np.where(outside, 0.5 * (lo + hi), un)
-        x = G * (c - u)
-        fu = u - sat(x)
-        if np.max(np.abs(fu)) < _RESIDUAL_TOL:
-            return u
-        hi = np.where(fu > 0, u, hi)
-        lo = np.where(fu <= 0, u, lo)
+            u = np.where(live, np.where(outside, 0.5 * (lo + hi), un), u)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
-            fm = mid - sat(G * (c - mid))
+            fm = mid - L * np.tanh(G * (c - mid) / L)
             hi = np.where(fm > 0, mid, hi)
             lo = np.where(fm <= 0, mid, lo)
-        return 0.5 * (lo + hi)
+        return np.where(live, 0.5 * (lo + hi), u)
 
     return solve
 
@@ -109,9 +108,7 @@ class OscParams:
     Defaults are tuned for the machine's nominal operating point: mild
     clipping (gain 33), a 4 Vpp steady swing, and a sync attenuation that
     keeps realistic coupling drives in the injection-locking regime rather
-    than overdriving the amplifier.  rail_asym models unequal op-amp swing
-    limits; it is zero by default because a common asymmetry acts on the
-    network like a spurious uniform bias field.
+    than overdriving the amplifier.
     """
 
     R: float = 1709.0  # ohms
@@ -119,15 +116,12 @@ class OscParams:
     gain: float = 33.0
     sat_level: float = 3.08  # volts; steady output swing is ~1.3x this
     sync_gain: float = 0.03
-    rail_asym: float = 0.0
 
     def __post_init__(self):
         if self.R <= 0 or self.C <= 0 or self.sat_level <= 0:
             raise ValueError("R, C, sat_level must be positive")
         if self.gain <= GAIN_THRESHOLD:
             raise ValueError(f"gain must exceed {GAIN_THRESHOLD} for oscillation")
-        if not 0 <= self.rail_asym < 1:
-            raise ValueError("rail_asym must lie in [0, 1)")
 
     @property
     def rc(self) -> float:
@@ -158,24 +152,6 @@ class CircuitTrace:
     def n(self) -> int:
         return self.outputs.shape[1]
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def _sat_funcs(p: OscParams):
-    lp = p.sat_level * (1.0 + p.rail_asym)
-    lm = p.sat_level * (1.0 - p.rail_asym)
-
-    def sat(x):
-        return np.where(x >= 0, lp * np.tanh(x / lp), lm * np.tanh(x / lm))
-
-    def sat_prime(x):
-        t = np.tanh(x / np.where(x >= 0, lp, lm))
-        return 1.0 - t * t
-
-    return sat, sat_prime, lp, lm
-
 
 def _integrate_network(
     q0: np.ndarray,
@@ -190,7 +166,6 @@ def _integrate_network(
     steps_per_period: int,
     sample_stride: int,
     f0: float,
-    t0: float = 0.0,
     record_states: bool = False,
 ):
     """Fixed-step RK4 of the batched network.
@@ -209,10 +184,6 @@ def _integrate_network(
     g = p.sync_gain
     shil_w = TWO_PI * f_shil
     solver = _make_output_solver(p)
-
-    def solve_u(Q, drive, ug):
-        return solver(drive + Q, ug)
-
     zero_drive = np.zeros(state.shape[:-1])
 
     def f(st, tt, ug):
@@ -222,7 +193,7 @@ def _integrate_network(
         s = st[..., 3]
         Q = q1 + q2 + q3
         drive = -g * s if sync_on else zero_drive
-        u = solve_u(Q, drive, ug)
+        u = solver(drive + Q, ug)
         v3 = u - Q
         v2 = v3 + q3
         v1 = v2 + q2
@@ -235,30 +206,33 @@ def _integrate_network(
         return d, u
 
     n_samples = n_steps // sample_stride
-    times = np.empty(n_samples)
+    times = sample_stride * np.arange(1, n_samples + 1) * dt
     outputs = np.empty((n_samples,) + state.shape[:-1])
     states = np.empty((n_samples,) + state.shape) if record_states else None
+
+    def store(i, u, st):
+        outputs[i] = u
+        if record_states:
+            states[i] = st
+
+    # a sample's output is the next step's first-stage solve (same state, same
+    # guess); only a sample on the last step needs a solve of its own
     ug = np.zeros(state.shape[:-1])
-    t = t0
     half = 0.5 * dt
     sixth = dt / 6.0
-    si = 0
     for k in range(n_steps):
+        t = k * dt
         k1, u1 = f(state, t, ug)
+        if k and k % sample_stride == 0:
+            store(k // sample_stride - 1, u1, state)
         k2, u2 = f(state + half * k1, t + half, u1)
         k3, u3 = f(state + half * k2, t + half, u2)
         k4, u4 = f(state + dt * k3, t + dt, u3)
         state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         ug = u4
-        t = t0 + (k + 1) * dt
-        if (k + 1) % sample_stride == 0 and si < n_samples:
-            Q = state[..., 0] + state[..., 1] + state[..., 2]
-            drive = -g * state[..., 3] if sync_on else zero_drive
-            times[si] = t
-            outputs[si] = solve_u(Q, drive, ug)
-            if record_states:
-                states[si] = state
-            si += 1
+    t = n_steps * dt
+    if n_steps and n_steps % sample_stride == 0:
+        store(n_samples - 1, f(state, t, ug)[1], state)
     if not np.isfinite(state).all():
         raise SimulationDiverged(f"non-finite circuit state at t={t:.6e} s")
     if record_states:
@@ -301,8 +275,7 @@ def steady_amplitude(trace: CircuitTrace, osc_index: int = 0) -> float:
     return float(tail.max() - tail.min())
 
 
-def _free_run_single(p: OscParams, periods: float, f_ref: float,
-                     record_states: bool = False):
+def _free_run_single(p: OscParams, periods: float, f_ref: float):
     # deterministic seeded startup of one oscillator on a reference time base
     rng = np.random.default_rng(12345)
     q0 = rng.normal(0.0, 0.4 * p.sat_level, (1, 3))
@@ -310,7 +283,6 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float,
     return _integrate_network(
         q0, s0, np.zeros((1, 1)), 0.0, f_ref, False, p, 1.0,
         periods / f_ref, DEFAULT_STEPS_PER_PERIOD, 4, f_ref,
-        record_states=record_states,
     )
 
 
@@ -337,43 +309,34 @@ def calibrate(
         raise ValueError("target frequency must be positive")
     rc_analytic = 1.0 / (TWO_PI * target_f0 * np.sqrt(6.0))
     cand = dataclasses.replace(p, R=rc_analytic / p.C)
-    for _ in range(max_iters):
+    for _ in range(max_iters + 1):
         f_meas = measure_free_run_frequency(free_run_trace(cand, 50.0, target_f0))
         if abs(f_meas - target_f0) / target_f0 <= tolerance:
             return cand
         cand = dataclasses.replace(cand, R=cand.R * f_meas / target_f0)
-    f_meas = measure_free_run_frequency(free_run_trace(cand, 50.0, target_f0))
-    if abs(f_meas - target_f0) / target_f0 <= tolerance:
-        return cand
     raise RuntimeError(
         f"calibration failed to converge: measured {f_meas:.1f} Hz vs target {target_f0}"
     )
 
 
-_CALIBRATED: dict[tuple, OscParams] = {}
-_CYCLE_TABLE: dict[tuple, np.ndarray] = {}
+@functools.cache
+def calibrated_params(f0: float) -> OscParams:
+    """Default component values calibrated to f0, computed once per f0."""
+    return calibrate(OscParams(), f0)
 
 
-def calibrated_params(f0: float, base: OscParams | None = None) -> OscParams:
-    base = base or OscParams()
-    key = (f0, base)
-    if key not in _CALIBRATED:
-        _CALIBRATED[key] = calibrate(base, f0)
-    return _CALIBRATED[key]
-
-
+@functools.cache
 def _limit_cycle_states(p: OscParams, f0: float) -> np.ndarray:
     """(steps_per_period, 3) capacitor voltages over one steady period."""
-    key = (p, f0)
-    if key not in _CYCLE_TABLE:
-        # settle onto the limit cycle, then record one period at full rate
-        _, _, settled = _free_run_single(p, 40.0, f0)
-        times, outputs, final, states = _integrate_network(
-            settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, f0, False, p, 1.0,
-            1.0 / f0, DEFAULT_STEPS_PER_PERIOD, 1, f0, record_states=True,
-        )
-        _CYCLE_TABLE[key] = states[:, 0, :3].copy()
-    return _CYCLE_TABLE[key]
+    # settle onto the limit cycle, then record one period at full rate
+    _, _, settled = _free_run_single(p, 40.0, f0)
+    _, _, _, states = _integrate_network(
+        settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, f0, False, p, 1.0,
+        1.0 / f0, DEFAULT_STEPS_PER_PERIOD, 1, f0, record_states=True,
+    )
+    table = states[:, 0, :3].copy()
+    table.setflags(write=False)  # one cached array serves every caller
+    return table
 
 
 def phases_to_network_state(theta, p: OscParams, f0: float):
@@ -391,14 +354,13 @@ def phases_to_network_state(theta, p: OscParams, f0: float):
     return q, s
 
 
-def _protocol_run(m: MachineConfig, sched, seeds, continue_clock: bool):
+def _protocol_run(m: MachineConfig, sched, seeds):
     """Seeded protocol runs on the circuit backend, free interval then settle.
 
     Each run's generator draws its initial phases, then its frequency
     jitter.  Returns (t_free, u_free, t_on, u_on) with outputs shaped
-    (samples, B, n).  The settle clock restarts at zero unless
-    continue_clock, which carries the SHIL source phase on from the end of
-    the free interval.
+    (samples, B, n).  The settle clock, and with it the SHIL source phase,
+    restarts at zero at gate-on.
     """
     window = readout.DetectorParams().settle_periods
     if sched.settle_periods < window:
@@ -419,10 +381,9 @@ def _protocol_run(m: MachineConfig, sched, seeds, continue_clock: bool):
         q0, s0, W, shil, 2.0 * m.f0, False, p, rc_scale,
         sched.free_run_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
     )
-    t0 = float(t_free[-1]) if continue_clock and len(t_free) else 0.0
     t_on, u_on, _ = _integrate_network(
         final[..., :3], final[..., 3], W, shil, 2.0 * m.f0, True, p, rc_scale,
-        sched.settle_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0, t0=t0,
+        sched.settle_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
     )
     return t_free, u_free, t_on, u_on
 
@@ -434,7 +395,7 @@ def run_readout_batch(m: MachineConfig, sched, seeds) -> list:
     through multiplier/limited-integrator detectors against oscillator 1.
     Lock timing is not estimated from waveforms, so results carry None.
     """
-    _, _, times, outputs = _protocol_run(m, sched, seeds, continue_clock=False)
+    _, _, times, outputs = _protocol_run(m, sched, seeds)
     det = readout.DetectorParams()
     dt = float(times[1] - times[0])
     period = 1.0 / m.f0
@@ -452,11 +413,12 @@ def run_readout_batch(m: MachineConfig, sched, seeds) -> list:
 def run_trace(m: MachineConfig, sched, seed) -> CircuitTrace:
     """Run 0 of run_readout_batch's seeding, recorded end to end.
 
-    The free interval (sync flags 0) and the settle window (1) share one clock.
+    The free interval has sync flags 0 and the settle window 1; settle times
+    are shown continuing from the end of the free interval.
     """
     seeds = np.random.SeedSequence(seed).spawn(1)
-    t_free, u_free, t_on, u_on = _protocol_run(m, sched, seeds, continue_clock=True)
-    times = np.concatenate([t_free, t_on])
+    t_free, u_free, t_on, u_on = _protocol_run(m, sched, seeds)
+    times = np.concatenate([t_free, t_on + (t_free[-1] if len(t_free) else 0.0)])
     outputs = np.concatenate([u_free[:, 0, :], u_on[:, 0, :]], axis=0)
     flags = np.concatenate([np.zeros(len(t_free), bool), np.ones(len(t_on), bool)])
     return CircuitTrace(times=times, outputs=outputs, f0=m.f0, sync_flags=flags)

@@ -273,8 +273,11 @@ def run_many(
     if g.n > m.n:
         raise ValueError(f"graph ({g.n} vertices) larger than machine ({m.n})")
     sched = sched or RunSchedule()
-    if sched.staggered_delays is not None and len(sched.staggered_delays) != len(g.edges):
-        raise ValueError("need one delay per edge")
+    if sched.staggered_delays is not None:
+        if len(sched.staggered_delays) != len(g.edges):
+            raise ValueError("need one delay per edge")
+        if backend != "phase":
+            raise ValueError("staggered activation is modelled on the phase backend only")
     seeds = run_seeds(seed, runs)
     batch_fn = _phase_run_batch if backend == "phase" else _circuit_run_batch
     if parallel:
@@ -369,7 +372,7 @@ def staggered_activation_experiment(
     """Simultaneous versus staggered weight activation, same seeds.
 
     Exploratory: reports both statistics without asserting an ordering.
-    With all-zero delays the two arms are identical.
+    With all-zero delays the two arms are identical.  Phase backend only.
     """
     base = sched or RunSchedule()
     delays = delays or tuple(0.0 for _ in g.edges)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from oscim import circuit_dynamics
 from oscim.circuit_dynamics import (
     CircuitTrace,
     OscParams,
     _integrate_network,
     _make_output_solver,
+    _protocol_run,
     calibrate,
     calibrated_params,
     free_run_trace,
@@ -16,12 +18,13 @@ from oscim.circuit_dynamics import (
     run_trace,
     steady_amplitude,
 )
-from oscim.harness import RunSchedule
+from oscim.harness import RunSchedule, run_many, run_seeds
 from oscim.machine import build_machine
 from oscim.problems import Graph
 
 TWO_PI = 2 * np.pi
 F0 = 3800.0
+TRIANGLE = Graph(n=3, edges=((1, 2, 1.0), (2, 3, 0.8), (1, 3, 0.6)))
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,16 @@ class TestSolver:
         res = u - np.where(x >= 0, sat_level * np.tanh(x / sat_level),
                            sat_level * np.tanh(x / sat_level))
         assert np.max(np.abs(res)) < 1e-9
+
+    def test_batch_equals_elementwise(self):
+        # convergence is judged per element, so batch-mates cannot move a result
+        solve = _make_output_solver(OscParams())
+        rng = np.random.default_rng(3)
+        c = rng.normal(0, 2.0, 500)
+        guess = rng.normal(0, 2.0, 500)
+        batch = solve(c, guess)
+        alone = np.array([solve(c[i:i + 1], guess[i:i + 1])[0] for i in range(500)])
+        assert np.array_equal(batch, alone)
 
 
 class TestFrequencyMeasurement:
@@ -199,6 +212,15 @@ class TestSimulateCircuit:
         assert np.isfinite(edge_trace.outputs).all()
         assert edge_trace.sync_flags[-500:].all()
 
+    def test_trace_is_run_zero_of_the_batch(self, params):
+        # after 5.25 free periods a SHIL clock carried on from the free interval
+        # would be half a cycle off the one every batch run restarts at gate-on
+        m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
+        sched = RunSchedule(free_run_periods=5.25, settle_periods=10.0)
+        trace = run_trace(m, sched, seed=3)
+        _, u_free, _, u_on = _protocol_run(m, sched, run_seeds(3, 2))
+        assert np.array_equal(trace.outputs, np.concatenate([u_free[:, 0], u_on[:, 0]]))
+
 
 class TestGateIndependence:
     def test_gated_network_equals_isolated_runs(self, params):
@@ -215,3 +237,25 @@ class TestGateIndependence:
                 False, params, 1.0, 10.0 / F0, 400, 4, F0,
             )
             assert np.allclose(joint[:, 0, k], alone[:, 0, 0], atol=1e-12)
+
+
+class TestBatchIndependence:
+    def test_batched_runs_equal_runs_alone(self, params, monkeypatch):
+        # record what run_readout_batch returns to run_many: one batch of
+        # run_seeds(712, 4), then each of those seeds alone
+        readouts = []
+        real = circuit_dynamics.run_readout_batch
+
+        def recording(m, sched, seeds):
+            out = real(m, sched, seeds)
+            readouts.append(out)
+            return out
+
+        monkeypatch.setattr(circuit_dynamics, "run_readout_batch", recording)
+        m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
+        sched = RunSchedule(free_run_periods=5.0, settle_periods=15.0)
+        batched = run_many(TRIANGLE, m, "circuit", sched, runs=4, seed=712)
+        alone = run_many(TRIANGLE, m, "circuit", sched, runs=4, seed=712, parallel=False)
+        assert [len(r) for r in readouts] == [4, 1, 1, 1, 1]
+        assert readouts[0] == [r[0] for r in readouts[1:]]  # detector values included
+        assert batched.run_results == alone.run_results

@@ -169,6 +169,20 @@ class TestStaggered:
         assert times[-1] == pytest.approx(n_steps / 200, abs=1e-12)
         assert thetas.shape == (len(times), 2, 3)
 
+    def test_circuit_backend_rejects_delays(self, monkeypatch):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the delay check")
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_calibration)
+        m = build_machine(TRIANGLE, global_scale=0.2)
+        sched = RunSchedule(settle_periods=25.0, staggered_delays=(0.0, 5.0, 10.0))
+        with pytest.raises(ValueError, match="phase backend only"):
+            run_many(TRIANGLE, m, "circuit", sched, runs=1, seed=0)
+        with pytest.raises(ValueError, match="phase backend only"):
+            staggered_activation_experiment(
+                TRIANGLE, m, backend="circuit", delays=(0.0, 5.0, 10.0), runs=2, seed=3
+            )
+
     def test_wrong_delay_count(self):
         m = build_machine(TRIANGLE)
         with pytest.raises(ValueError, match="per edge"):
