@@ -230,12 +230,16 @@ def _check_enumerable(n: int):
 def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
     """Exact max-cut by enumeration: (optimum, all maximizing spin configs).
 
-    The maximizer set is closed under global spin flip.
+    A cut is invariant under global spin flip, and a configuration and its
+    flip sum the same edge terms in the same order, so only the half with
+    the last spin +1 is enumerated; each maximizer's flip is added to the
+    set, which is therefore closed under global spin flip.
     """
     _check_enumerable(g.n)
     best = -np.inf
     best_configs: set[tuple[int, ...]] = set()
-    for _, spins in _spin_chunks(g.n):
+    for _, half in _spin_chunks(g.n - 1):
+        spins = np.hstack((half, np.ones((half.shape[0], 1), dtype=half.dtype)))
         cuts = np.zeros(spins.shape[0])
         for u, v, w in g.edges:
             cuts += np.where(spins[:, u - 1] != spins[:, v - 1], w, 0.0)
@@ -245,7 +249,9 @@ def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
             best_configs = set()
         if m == best:
             for k in np.nonzero(cuts == best)[0]:
-                best_configs.add(tuple(int(x) for x in spins[k]))
+                cfg = tuple(int(x) for x in spins[k])
+                best_configs.add(cfg)
+                best_configs.add(tuple(-x for x in cfg))
     return float(best), best_configs
 
 

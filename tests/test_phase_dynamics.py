@@ -7,6 +7,7 @@ from oscim.errors import SimulationDiverged
 from oscim.machine import ShilConfig, build_machine, set_sync
 from oscim.phase_dynamics import (
     PhaseState,
+    _rhs,
     binary_distance,
     coupling_terms,
     integrate_batch,
@@ -191,3 +192,63 @@ class TestBatchConsistency:
         for b in range(4):
             _, single = integrate_batch(theta0[b:b + 1], K, Ks, np.zeros(3), 5.0)
             assert np.array_equal(batch[:, b, :], single[:, 0, :])
+
+
+def pairwise_rhs(theta, K, Ks, delta):
+    """Reference derivative with the coupling summed over explicit pairs."""
+    diff = theta[..., :, None] - theta[..., None, :]
+    return delta - (K * np.sin(diff)).sum(axis=-1) - Ks * np.sin(2.0 * theta)
+
+
+def random_coupling(rng, n, batch=()):
+    K = rng.uniform(-1.0, 1.0, batch + (n, n))
+    K = K + np.swapaxes(K, -1, -2)
+    K[..., np.arange(n), np.arange(n)] = 0.0
+    return K
+
+
+class TestKernel:
+    """The factored coupling sum: one row's bits whatever the batch, and the pairwise value."""
+
+    @pytest.mark.parametrize("n", [3, 8, 20, 64])
+    @pytest.mark.parametrize("per_run_K", [False, True], ids=["shared_K", "per_run_K"])
+    def test_batch_equals_rows_and_pairwise_reference(self, n, per_run_K):
+        B = 100
+        rng = np.random.default_rng(n)
+        theta = rng.uniform(0, TWO_PI, (B, n))
+        K = random_coupling(rng, n, (B,) if per_run_K else ())
+        delta = rng.normal(0, 0.01, n)
+        batch = _rhs(theta, K, 0.3, delta)
+        for b in range(B):
+            Kb = K[b:b + 1] if per_run_K else K
+            assert np.array_equal(batch[b:b + 1], _rhs(theta[b:b + 1], Kb, 0.3, delta))
+        assert np.abs(batch - pairwise_rhs(theta, K, 0.3, delta)).max() < 1e-12
+
+
+class TestNoiseShape:
+    """Bad pre-drawn noise is rejected before the first RK4 step."""
+
+    def setup_method(self):
+        m = machine_on(global_scale=0.25)
+        self.K, self.Ks = coupling_terms(m)
+        self.theta0 = np.random.default_rng(4).uniform(0, TWO_PI, (3, 2))
+
+    def expect_rejected(self, noise, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("integration started before the noise check")
+
+        monkeypatch.setattr("oscim.phase_dynamics._rk4", no_step)
+        with pytest.raises(ValueError, match=r"noise must have shape \(steps, B, n\)"):
+            integrate_batch(
+                self.theta0, self.K, self.Ks, np.zeros(2), 1.0,
+                noise_sigma=0.05, noise=noise,
+            )
+
+    def test_missing_noise(self, monkeypatch):
+        self.expect_rejected(None, monkeypatch)
+
+    def test_too_few_steps(self, monkeypatch):
+        self.expect_rejected(np.zeros((199, 3, 2)), monkeypatch)
+
+    def test_one_row_shared_by_the_batch(self, monkeypatch):
+        self.expect_rejected(np.zeros((200, 1, 2)), monkeypatch)

@@ -164,6 +164,32 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="too large"):
             brute_force_max_cut(Graph(n=25, edges=()))
 
+    @staticmethod
+    def full_enumeration(g):
+        """Every one of the 2^n configurations, edges summed in stored order."""
+        best, configs = -np.inf, set()
+        for s in all_spin_configs(g.n):
+            cut = sum(w for u, v, w in g.edges if s[u - 1] != s[v - 1])
+            if cut > best:
+                best, configs = cut, set()
+            if cut == best:
+                configs.add(tuple(int(x) for x in s))
+        return float(best), configs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_half_enumeration_equals_full(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 11):
+            g = random_graph(n, rng, p=0.6, dyadic=False)
+            assert brute_force_max_cut(g) == self.full_enumeration(g)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_no_edges(self, n):
+        g = Graph(n=n, edges=())
+        opt, configs = brute_force_max_cut(g)
+        assert (opt, configs) == self.full_enumeration(g)
+        assert opt == 0.0 and len(configs) == 2 ** n
+
 
 class TestGroundStates:
     def test_antiferromagnetic_pair(self):
