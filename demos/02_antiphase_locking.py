@@ -17,7 +17,7 @@ rng = np.random.default_rng(42)
 init = random_initial_phases(2, rng)
 print(f"initial phases: {np.degrees(init.theta).round(1)} deg")
 
-trace = simulate(machine, init, duration_periods=12.0, sample_rate=16)
+trace = simulate(machine, init, duration_periods=12.0)
 
 print("\n periods | phase difference from pi (deg)")
 for target in np.arange(0.0, 12.1, 1.0):

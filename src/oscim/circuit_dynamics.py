@@ -60,6 +60,10 @@ _NEWTON_ITERS = 8
 _BISECT_ITERS = 45
 _RESIDUAL_TOL = 1e-11
 
+# calibrate: relative frequency tolerance and number of R*C refinements
+_CAL_TOLERANCE = 0.005
+_CAL_MAX_ITERS = 5
+
 
 def _make_output_solver(p: "OscParams"):
     """Solver for u = sat(gain*(c - u)) with c = drive + Q, sat(x) = L*tanh(x/L).
@@ -139,7 +143,6 @@ class CircuitTrace:
 
     times: np.ndarray  # seconds
     outputs: np.ndarray  # (samples, n)
-    f0: float  # nominal frequency fixing the period unit
     sync_flags: np.ndarray  # per-sample gate state
 
     def __post_init__(self):
@@ -170,7 +173,7 @@ def _integrate_network(
 ):
     """Fixed-step RK4 of the batched network.
 
-    Returns (times, u_samples, final_state[, state_samples]).  States are
+    Returns (times, u_samples, end_state[, state_samples]).  States are
     (..., n, 4) = (q1, q2, q3, s); the summer state always tracks the
     coupled sum plus SHIL, while the gate decides whether the oscillator
     sees it, so closing the gate causes no summer turn-on transient.
@@ -248,9 +251,12 @@ def resolve_shil_voltage(m: MachineConfig, p: OscParams) -> float:
     return units * p.sat_level
 
 
-def measure_free_run_frequency(trace: CircuitTrace, osc_index: int = 0) -> float:
-    """Frequency from mean rising-zero-crossing interval of the steady tail."""
-    u = trace.outputs[:, osc_index]
+def measure_free_run_frequency(trace: CircuitTrace) -> float:
+    """Oscillator 1's frequency from its mean rising-zero-crossing interval.
+
+    Only the steady tail of the trace counts.
+    """
+    u = trace.outputs[:, 0]
     t = trace.times
     i0 = int(len(t) * 0.4)
     u_tail, t_tail = u[i0:], t[i0:]
@@ -268,9 +274,9 @@ def measure_free_run_frequency(trace: CircuitTrace, osc_index: int = 0) -> float
     return float(1.0 / np.mean(np.diff(crossings)))
 
 
-def steady_amplitude(trace: CircuitTrace, osc_index: int = 0) -> float:
-    """Peak-to-peak output voltage over the steady tail of a trace."""
-    u = trace.outputs[:, osc_index]
+def steady_amplitude(trace: CircuitTrace) -> float:
+    """Oscillator 1's peak-to-peak output voltage over the steady tail."""
+    u = trace.outputs[:, 0]
     tail = u[int(len(u) * 0.5):]
     return float(tail.max() - tail.min())
 
@@ -289,29 +295,25 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float):
 def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
     """Single free oscillator from a seeded power-on state."""
     times, outputs, _ = _free_run_single(p, periods, f_ref)
-    return CircuitTrace(times=times, outputs=outputs, f0=f_ref,
+    return CircuitTrace(times=times, outputs=outputs,
                         sync_flags=np.zeros(times.shape, dtype=bool))
 
 
-def calibrate(
-    p: OscParams,
-    target_f0: float,
-    tolerance: float = 0.005,
-    max_iters: int = 5,
-) -> OscParams:
+def calibrate(p: OscParams, target_f0: float) -> OscParams:
     """Scale R*C until the measured free-run frequency hits the target.
 
     The analytic small-signal frequency 1/(2*pi*RC*sqrt(6)) seeds the
     search; because the whole loop scales in time with RC, each refinement
-    is an exact rescale and one pass usually suffices.
+    is an exact rescale and one pass usually suffices.  Converged means
+    within _CAL_TOLERANCE (relative) of the target.
     """
     if target_f0 <= 0:
         raise ValueError("target frequency must be positive")
     rc_analytic = 1.0 / (TWO_PI * target_f0 * np.sqrt(6.0))
     cand = dataclasses.replace(p, R=rc_analytic / p.C)
-    for _ in range(max_iters + 1):
+    for _ in range(_CAL_MAX_ITERS + 1):
         f_meas = measure_free_run_frequency(free_run_trace(cand, 50.0, target_f0))
-        if abs(f_meas - target_f0) / target_f0 <= tolerance:
+        if abs(f_meas - target_f0) / target_f0 <= _CAL_TOLERANCE:
             return cand
         cand = dataclasses.replace(cand, R=cand.R * f_meas / target_f0)
     raise RuntimeError(
@@ -362,7 +364,7 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     (samples, B, n).  The settle clock, and with it the SHIL source phase,
     restarts at zero at gate-on.
     """
-    window = readout.DetectorParams().settle_periods
+    window = readout.DETECTOR_PERIODS
     if sched.settle_periods < window:
         raise ValueError(
             f"settle_periods={sched.settle_periods:g} is shorter than the "
@@ -388,26 +390,17 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     return t_free, u_free, t_on, u_on
 
 
-def run_readout_batch(m: MachineConfig, sched, seeds) -> list:
-    """Protocol steps 1-6 on the circuit backend for a batch of seeded runs.
+def run_readout_batch(m: MachineConfig, sched, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Protocol steps 1-6 on the circuit backend: (spins, resolved), each (B, n).
 
     Free interval simulated with per-oscillator frequency jitter; readout
-    through multiplier/limited-integrator detectors against oscillator 1.
-    Lock timing is not estimated from waveforms, so results carry None.
+    through multiplier/limited-integrator detectors against oscillator 1,
+    all n-1 detectors of all runs in one call.
     """
     _, _, times, outputs = _protocol_run(m, sched, seeds)
-    det = readout.DetectorParams()
     dt = float(times[1] - times[0])
-    period = 1.0 / m.f0
-    results = []
-    for b in range(len(seeds)):
-        ref = outputs[:, b, 0]
-        values = [
-            readout.phase_detector(outputs[:, b, i], ref, det, dt, period)
-            for i in range(1, m.n)
-        ]
-        results.append(readout.spins_from_detectors(np.array(values), det.limit))
-    return results
+    values = readout.phase_detector(outputs[..., 1:], outputs[..., :1], dt, 1.0 / m.f0)
+    return readout.spins_from_detectors(values)
 
 
 def run_trace(m: MachineConfig, sched, seed) -> CircuitTrace:
@@ -421,4 +414,4 @@ def run_trace(m: MachineConfig, sched, seed) -> CircuitTrace:
     times = np.concatenate([t_free, t_on + (t_free[-1] if len(t_free) else 0.0)])
     outputs = np.concatenate([u_free[:, 0, :], u_on[:, 0, :]], axis=0)
     flags = np.concatenate([np.zeros(len(t_free), bool), np.ones(len(t_on), bool)])
-    return CircuitTrace(times=times, outputs=outputs, f0=m.f0, sync_flags=flags)
+    return CircuitTrace(times=times, outputs=outputs, sync_flags=flags)

@@ -18,13 +18,18 @@ from . import circuit_dynamics as circuit
 from . import phase_dynamics as phase
 from .machine import MachineConfig, set_global_scale, set_sync
 from .problems import Graph, brute_force_max_cut, cut_value
-from .readout import ReadoutResult, lock_period, spins_from_phases
+from .readout import lock_period, spins_from_phases
 
 BACKENDS = ("phase", "circuit")
 
 # Cut comparisons against the oracle optimum tolerate tiny float noise from
 # differently-ordered summations; exact-representable weights are unaffected.
 CUT_TOLERANCE = 1e-9
+
+# best_operating_point: a scale counts as cleanly binarized at or below
+# MAX_UNRESOLVED, and is good enough once it reaches TARGET_SUCCESS.
+MAX_UNRESOLVED = 0.05
+TARGET_SUCCESS = 0.8
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class RunResult:
 
     The bitstring maps spin +1 -> '0', -1 -> '1' and is normalized so the
     reference oscillator (leftmost character) reads '0'.  lock_period is
-    readout.lock_period of the run's trace, None when the run never locked;
+    readout.lock_period of the run's phases, None when the run never locked;
     the circuit backend reports None always (it has no phase trace to time).
     """
 
@@ -119,16 +124,17 @@ def oracle_max_cut(g: Graph) -> tuple[float, frozenset]:
     return _ORACLE_CACHE[key]
 
 
+def _bitstring(spins) -> str:
+    """'0' for spin +1, '1' for spin -1; leftmost is the reference."""
+    return "".join("0" if x > 0 else "1" for x in spins)
+
+
 def optimal_bitstrings(g: Graph) -> tuple[str, ...]:
     """Reference-normalized bitstrings of every max-cut maximizer, sorted."""
+    # the maximizer set is closed under global flip: keep the half whose
+    # reference spin is +1
     _, configs = oracle_max_cut(g)
-    strings = set()
-    for cfg in configs:
-        spins = np.array(cfg)
-        if spins[0] < 0:
-            spins = -spins
-        strings.add("".join("0" if s > 0 else "1" for s in spins))
-    return tuple(sorted(strings))
+    return tuple(sorted(_bitstring(cfg) for cfg in configs if cfg[0] > 0))
 
 
 def run_seeds(master_seed, runs: int) -> list[np.random.SeedSequence]:
@@ -138,21 +144,19 @@ def run_seeds(master_seed, runs: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(master_seed).spawn(runs)
 
 
-def _result_from_readout(
-    g: Graph,
-    readout: ReadoutResult,
-    lock: float | None,
-    optimum: float,
-) -> RunResult:
-    spins = np.array(readout.spins)
-    cut = cut_value(g, spins)
-    return RunResult(
-        bitstring=readout.bitstring(),
-        cut=cut,
-        optimal=bool(cut >= optimum - CUT_TOLERANCE),
-        lock_period=lock,
-        unresolved_count=readout.unresolved_count,
-    )
+def _run_results(g: Graph, optimum: float, spins, resolved, locks) -> list[RunResult]:
+    """One RunResult per run from reference-normalized spins (B, n)."""
+    results = []
+    for run_spins, run_resolved, lock in zip(spins, resolved, locks):
+        cut = cut_value(g, run_spins)
+        results.append(RunResult(
+            bitstring=_bitstring(run_spins),
+            cut=cut,
+            optimal=bool(cut >= optimum - CUT_TOLERANCE),
+            lock_period=lock,
+            unresolved_count=int(np.count_nonzero(~run_resolved)),
+        ))
+    return results
 
 
 def phase_protocol_run(
@@ -212,44 +216,17 @@ def _integrate_staggered(g, sched, theta0, K, Ks, delta, noise_sigma, noise):
     return np.concatenate(times), np.concatenate(thetas)
 
 
-def _phase_run_batch(
-    g: Graph,
-    m: MachineConfig,
-    sched: RunSchedule,
-    seeds: list[np.random.SeedSequence],
-) -> list[RunResult]:
-    optimum, _ = oracle_max_cut(g)
+def _phase_run_batch(g: Graph, m: MachineConfig, sched: RunSchedule, seeds):
+    """(spins, resolved, locks) of a batch of seeded phase-backend runs."""
     times, thetas = phase_protocol_run(g, m, sched, seeds)
-    results = []
-    for b in range(len(seeds)):
-        trace = phase.PhaseTrace(
-            times=times, thetas=thetas[:, b, :], sync_events=((0.0, True),)
-        )
-        readout = spins_from_phases(trace.final_state())
-        results.append(_result_from_readout(g, readout, lock_period(trace), optimum))
-    return results
+    spins, resolved = spins_from_phases(thetas[-1])
+    return spins, resolved, lock_period(times, thetas)
 
 
-def _circuit_run_batch(
-    g: Graph,
-    m: MachineConfig,
-    sched: RunSchedule,
-    seeds: list[np.random.SeedSequence],
-) -> list[RunResult]:
-    optimum, _ = oracle_max_cut(g)
-    readouts = circuit.run_readout_batch(m, sched, seeds)
-    return [_result_from_readout(g, ro, None, optimum) for ro in readouts]
-
-
-def run_once(
-    g: Graph,
-    m: MachineConfig,
-    backend: str = "phase",
-    sched: RunSchedule | None = None,
-    seed: int = 0,
-) -> RunResult:
-    """Execute protocol steps 1-6 once; deterministic given the seed."""
-    return run_many(g, m, backend, sched, runs=1, seed=seed).run_results[0]
+def _circuit_run_batch(g: Graph, m: MachineConfig, sched: RunSchedule, seeds):
+    """(spins, resolved, locks) of a batch of seeded circuit-backend runs."""
+    spins, resolved = circuit.run_readout_batch(m, sched, seeds)
+    return spins, resolved, [None] * len(seeds)
 
 
 def run_many(
@@ -261,31 +238,32 @@ def run_many(
     seed=0,
     parallel: bool = True,
 ) -> RunStats:
-    """Aggregate run_once over counter-split seeds.
+    """Protocol steps 1-6 for each of the counter-split seeds, aggregated.
 
     parallel=True executes all runs in one vectorized batch; False runs
-    them one at a time.  Both paths produce identical results.
+    them one at a time.  Both paths produce identical results.  The graph
+    must have exactly the machine's number of vertices.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if g.n > m.n:
-        raise ValueError(f"graph ({g.n} vertices) larger than machine ({m.n})")
+    if g.n != m.n:
+        relation = "larger" if g.n > m.n else "smaller"
+        raise ValueError(f"graph ({g.n} vertices) {relation} than machine ({m.n})")
     sched = sched or RunSchedule()
     if sched.staggered_delays is not None:
         if len(sched.staggered_delays) != len(g.edges):
             raise ValueError("need one delay per edge")
         if backend != "phase":
             raise ValueError("staggered activation is modelled on the phase backend only")
+    optimum, _ = oracle_max_cut(g)
     seeds = run_seeds(seed, runs)
     batch_fn = _phase_run_batch if backend == "phase" else _circuit_run_batch
-    if parallel:
-        results = batch_fn(g, m, sched, seeds)
-    else:
-        results = []
-        for s in seeds:
-            results.extend(batch_fn(g, m, sched, [s]))
+    batches = [seeds] if parallel else [[s] for s in seeds]
+    results = []
+    for batch in batches:
+        results.extend(_run_results(g, optimum, *batch_fn(g, m, sched, batch)))
     return _aggregate(results)
 
 
@@ -338,24 +316,20 @@ def sweep_coupling(
     return rows
 
 
-def best_operating_point(
-    rows: list[SweepPoint],
-    max_unresolved: float = 0.05,
-    target_success: float = 0.8,
-) -> SweepPoint:
+def best_operating_point(rows: list[SweepPoint]) -> SweepPoint:
     """Operating point: highest success among well-binarized scales.
 
     When no cleanly binarized scale reaches the target success, fall back to
     the least-unresolved scale among those within 0.05 of the best success,
     trading some readout ambiguity for solution quality.
     """
-    clean = [r for r in rows if r.unresolved_rate <= max_unresolved]
+    clean = [r for r in rows if r.unresolved_rate <= MAX_UNRESOLVED]
     if clean:
         best_clean = max(clean, key=lambda r: (r.success_rate, -r.scale))
-        if best_clean.success_rate >= target_success:
+        if best_clean.success_rate >= TARGET_SUCCESS:
             return best_clean
     best_sr = max(r.success_rate for r in rows)
-    near = [r for r in rows if r.success_rate >= max(target_success, best_sr - 0.05)]
+    near = [r for r in rows if r.success_rate >= max(TARGET_SUCCESS, best_sr - 0.05)]
     pool = near or rows
     return min(pool, key=lambda r: (r.unresolved_rate, -r.success_rate))
 

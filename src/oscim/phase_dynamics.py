@@ -52,15 +52,14 @@ from .machine import MachineConfig, effective_weights, resolve_shil_strength
 TWO_PI = 2.0 * np.pi
 
 DEFAULT_STEPS_PER_PERIOD = 200
-DEFAULT_SAMPLE_RATE = 16.0  # samples per period
+SAMPLES_PER_PERIOD = 16.0
 
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Oscillator phases (radians) at simulation time t (periods)."""
+    """Oscillator phases (radians)."""
 
     theta: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
@@ -78,15 +77,14 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class PhaseTrace:
-    """Sampled phases over one simulation segment.
+    """Sampled phases of one run.
 
     times are in periods and strictly increasing; thetas has shape
-    (samples, n).  sync_events records (time, enabled) gate transitions.
+    (samples, n).
     """
 
     times: np.ndarray
     thetas: np.ndarray
-    sync_events: tuple[tuple[float, bool], ...] = ()
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -97,19 +95,6 @@ class PhaseTrace:
         thetas.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "thetas", thetas)
-
-    @property
-    def n(self) -> int:
-        return self.thetas.shape[1]
-
-    def final_state(self) -> PhaseState:
-        return PhaseState(theta=self.thetas[-1], t=float(self.times[-1]))
-
-    def sync_on_time(self) -> float | None:
-        for t, on in self.sync_events:
-            if on:
-                return t
-        return None
 
 
 def wrap_phase(theta):
@@ -163,7 +148,7 @@ def network_energy(theta, m: MachineConfig) -> float:
 
 def random_initial_phases(n: int, rng: np.random.Generator) -> PhaseState:
     """Independent uniform phases on [0, 2*pi); the free-run protocol step."""
-    return PhaseState(theta=rng.uniform(0.0, TWO_PI, n), t=0.0)
+    return PhaseState(theta=rng.uniform(0.0, TWO_PI, n))
 
 
 def _rk4(theta, K, Ks, delta, dt):
@@ -183,7 +168,6 @@ def integrate_batch(
     delta,
     duration_periods: float,
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
     noise_sigma: float = 0.0,
     noise: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,9 +175,10 @@ def integrate_batch(
 
     theta0 has shape (B, n); K is (n, n) or (B, n, n); Ks and delta
     broadcast against (B, n).  Returns (times (S,), thetas (S, B, n)) with
-    the initial sample included.  ``noise`` supplies pre-drawn standard
-    normal increments of shape (steps, B, n) when noise_sigma > 0; any
-    other shape raises ValueError before the first step.
+    the initial sample included and SAMPLES_PER_PERIOD samples per period.
+    ``noise`` supplies pre-drawn standard normal increments of shape
+    (steps, B, n) when noise_sigma > 0; any other shape raises ValueError
+    before the first step.
 
     The per-run arithmetic is identical whatever the batch size, so runs
     executed together or one at a time produce bit-identical trajectories.
@@ -207,8 +192,8 @@ def integrate_batch(
         got = None if noise is None else np.shape(noise)
         if got != want:
             raise ValueError(f"noise must have shape (steps, B, n) = {want}, got {got}")
-    # exact sample count: duration * sample_rate, spread uniformly over steps
-    n_samples = max(1, int(round(duration_periods * sample_rate)))
+    # exact sample count: duration * SAMPLES_PER_PERIOD, spread uniformly over steps
+    n_samples = max(1, int(round(duration_periods * SAMPLES_PER_PERIOD)))
     sample_at = np.zeros(n_steps + 1, dtype=bool)
     sample_at[np.round(np.arange(1, n_samples + 1) * n_steps / n_samples).astype(int)] = True
     sample_at[n_steps] = True
@@ -237,16 +222,13 @@ def simulate(
     m: MachineConfig,
     init: PhaseState,
     duration_periods: float,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
     rng: np.random.Generator | None = None,
 ) -> PhaseTrace:
-    """Integrate one run under a fixed machine configuration.
+    """Integrate one run from time 0 under a fixed machine configuration.
 
     Mid-run sync toggling is composed by the harness from piecewise
     segments; within a segment the gate state is constant.
     """
-    if sample_rate < 2:
-        raise ValueError("sample_rate must be at least 2 samples per period")
     if init.n != m.n:
         raise ValueError("initial state size does not match machine size")
     K, Ks = coupling_terms(m)
@@ -262,12 +244,7 @@ def simulate(
         Ks,
         np.asarray(m.detuning),
         duration_periods,
-        sample_rate=sample_rate,
         noise_sigma=m.noise_sigma,
         noise=noise,
     )
-    return PhaseTrace(
-        times=times + init.t,
-        thetas=thetas[:, 0, :],
-        sync_events=((init.t, m.sync_enabled),),
-    )
+    return PhaseTrace(times=times, thetas=thetas[:, 0, :])

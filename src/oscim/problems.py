@@ -207,17 +207,18 @@ def ising_to_qubo(p: IsingProblem) -> Qubo:
 
 
 def _spin_chunks(n: int):
-    """Yield (masks, spins) blocks covering all 2^n configurations.
+    """Yield spin blocks covering all 2^n configurations, in counting order.
 
-    spins[k, i] = +1 if bit i of masks[k] is 0 else -1, so mask 0 is all +1.
+    Row k of the whole sequence has spin i = +1 if bit i of k is 0 else -1,
+    so row 0 is all +1.
     """
     total = 1 << n
     step = 1 << min(_CHUNK_BITS, n)
     bits = np.arange(n, dtype=np.uint32)
     for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint32)
-        bitvals = (masks[:, None] >> bits[None, :]) & 1
-        yield masks, 1 - 2 * bitvals.astype(np.int8)
+        k = np.arange(start, min(start + step, total), dtype=np.uint32)
+        bitvals = (k[:, None] >> bits[None, :]) & 1
+        yield 1 - 2 * bitvals.astype(np.int8)
 
 
 def _check_enumerable(n: int):
@@ -238,7 +239,7 @@ def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
     _check_enumerable(g.n)
     best = -np.inf
     best_configs: set[tuple[int, ...]] = set()
-    for _, half in _spin_chunks(g.n - 1):
+    for half in _spin_chunks(g.n - 1):
         spins = np.hstack((half, np.ones((half.shape[0], 1), dtype=half.dtype)))
         cuts = np.zeros(spins.shape[0])
         for u, v, w in g.edges:
@@ -260,7 +261,7 @@ def brute_force_ground_states(p: IsingProblem) -> tuple[float, set[tuple[int, ..
     _check_enumerable(p.n)
     best = np.inf
     best_configs: set[tuple[int, ...]] = set()
-    for _, spins in _spin_chunks(p.n):
+    for spins in _spin_chunks(p.n):
         sf = spins.astype(float)
         pair = 0.5 * np.einsum("ki,ij,kj->k", sf, p.J, sf)
         energies = -pair - sf @ p.h + p.offset

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oscim import circuit_dynamics
+from oscim import readout
 from oscim.circuit_dynamics import (
     CircuitTrace,
     OscParams,
@@ -105,13 +105,13 @@ class TestFrequencyMeasurement:
     def test_synthetic_sine(self):
         t = np.arange(0, 30 / F0, 1 / (F0 * 400))
         u = np.sin(TWO_PI * F0 * t)
-        trace = CircuitTrace(times=t, outputs=u[:, None], f0=F0,
+        trace = CircuitTrace(times=t, outputs=u[:, None],
                              sync_flags=np.zeros(len(t), bool))
         assert measure_free_run_frequency(trace) == pytest.approx(F0, abs=1.0)
 
     def test_dc_trace_raises(self):
         t = np.arange(0, 30 / F0, 1 / (F0 * 400))
-        trace = CircuitTrace(times=t, outputs=np.full((len(t), 1), 0.7), f0=F0,
+        trace = CircuitTrace(times=t, outputs=np.full((len(t), 1), 0.7),
                              sync_flags=np.zeros(len(t), bool))
         with pytest.raises(RuntimeError, match="no oscillation"):
             measure_free_run_frequency(trace)
@@ -149,7 +149,7 @@ class TestAmplitude:
                 35.0 / F0, 400, 4, F0,
             )
             trace = CircuitTrace(times=times, outputs=outputs[:, :],
-                                 f0=F0, sync_flags=np.zeros(len(times), bool))
+                                 sync_flags=np.zeros(len(times), bool))
             vpps.append(steady_amplitude(trace))
         assert abs(vpps[0] - vpps[1]) / vpps[0] < 0.02
 
@@ -241,21 +241,21 @@ class TestGateIndependence:
 
 class TestBatchIndependence:
     def test_batched_runs_equal_runs_alone(self, params, monkeypatch):
-        # record what run_readout_batch returns to run_many: one batch of
+        # record the detector values behind run_many: one batch of
         # run_seeds(712, 4), then each of those seeds alone
-        readouts = []
-        real = circuit_dynamics.run_readout_batch
+        values = []
+        real = readout.phase_detector
 
-        def recording(m, sched, seeds):
-            out = real(m, sched, seeds)
-            readouts.append(out)
+        def recording(*args):
+            out = real(*args)
+            values.append(out)
             return out
 
-        monkeypatch.setattr(circuit_dynamics, "run_readout_batch", recording)
+        monkeypatch.setattr(readout, "phase_detector", recording)
         m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
         sched = RunSchedule(free_run_periods=5.0, settle_periods=15.0)
         batched = run_many(TRIANGLE, m, "circuit", sched, runs=4, seed=712)
         alone = run_many(TRIANGLE, m, "circuit", sched, runs=4, seed=712, parallel=False)
-        assert [len(r) for r in readouts] == [4, 1, 1, 1, 1]
-        assert readouts[0] == [r[0] for r in readouts[1:]]  # detector values included
+        assert [v.shape for v in values] == [(4, 2)] + [(1, 2)] * 4
+        assert np.array_equal(values[0], np.concatenate(values[1:]))  # bit for bit
         assert batched.run_results == alone.run_results

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from oscim import circuit_dynamics
+from oscim import circuit_dynamics, phase_dynamics
 from oscim.harness import (
     RunSchedule,
     _integrate_staggered,
     best_operating_point,
     optimal_bitstrings,
     run_many,
-    run_once,
     staggered_activation_experiment,
     sweep_coupling,
 )
@@ -21,10 +20,14 @@ EDGE = Graph(n=2, edges=((1, 2, 1.0),))
 TRIANGLE = Graph(n=3, edges=((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)))
 
 
+def one_run(g, m, seed):
+    return run_many(g, m, runs=1, seed=seed).run_results[0]
+
+
 class TestRunOnce:
     def test_single_edge_finds_cut(self):
         m = build_machine(EDGE, global_scale=0.2)
-        r = run_once(EDGE, m, seed=7)
+        r = one_run(EDGE, m, seed=7)
         assert r.bitstring == "01"
         assert r.cut == 1.0
         assert r.optimal
@@ -33,20 +36,20 @@ class TestRunOnce:
     def test_empty_graph_trivially_optimal(self):
         g = Graph(n=2, edges=())
         m = build_machine(g)
-        r = run_once(g, m, seed=3)
+        r = one_run(g, m, seed=3)
         assert r.cut == 0.0
         assert r.optimal
 
     def test_deterministic(self):
         m = build_machine(TRIANGLE, global_scale=0.2)
-        a = run_once(TRIANGLE, m, seed=11)
-        b = run_once(TRIANGLE, m, seed=11)
+        a = one_run(TRIANGLE, m, seed=11)
+        b = one_run(TRIANGLE, m, seed=11)
         assert a == b
 
     def test_bitstring_reference_normalized(self):
         m = build_machine(TRIANGLE, global_scale=0.2)
         for seed in range(5):
-            assert run_once(TRIANGLE, m, seed=seed).bitstring[0] == "0"
+            assert one_run(TRIANGLE, m, seed=seed).bitstring[0] == "0"
 
 
 class TestRunMany:
@@ -83,6 +86,17 @@ class TestRunMany:
         m = build_machine(EDGE)
         with pytest.raises(ValueError, match="larger"):
             run_many(TRIANGLE, m, runs=1, seed=0)
+
+    @pytest.mark.parametrize("backend", ["phase", "circuit"])
+    def test_graph_smaller_than_machine_rejected_before_work(self, backend, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulation ran before the size check")
+
+        monkeypatch.setattr(phase_dynamics, "integrate_batch", no_work)
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_work)
+        m = build_machine(TRIANGLE)
+        with pytest.raises(ValueError, match="smaller"):
+            run_many(EDGE, m, backend, RunSchedule(settle_periods=5.0), runs=1, seed=0)
 
     def test_circuit_settle_shorter_than_detector_fails_first(self, monkeypatch):
         def no_calibration(*args, **kwargs):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from oscim.phase_dynamics import PhaseState, PhaseTrace
 from oscim.readout import (
-    DetectorParams,
     lock_period,
     phase_detector,
     spins_from_detectors,
@@ -25,11 +23,10 @@ class TestPhaseDetector:
     F = 3800.0
 
     def detector(self, phi, periods=8.0):
-        p = DetectorParams(settle_periods=5.0)
         dur = periods / self.F
         ref = sine_wave(self.F, 0.0, dur, self.DT)
         x = sine_wave(self.F, phi, dur, self.DT)
-        return phase_detector(x, ref, p, self.DT, 1.0 / self.F)
+        return phase_detector(x, ref, self.DT, 1.0 / self.F)
 
     def test_in_phase_saturates_positive(self):
         assert self.detector(0.0) == pytest.approx(1.0)
@@ -48,72 +45,89 @@ class TestPhaseDetector:
             assert np.sign(v) == np.sign(np.cos(phi))
 
     def test_window_too_short(self):
-        p = DetectorParams(settle_periods=5.0)
         short = sine_wave(self.F, 0.0, 2.0 / self.F, self.DT)
         with pytest.raises(ValueError, match="too short"):
-            phase_detector(short, short, p, self.DT, 1.0 / self.F)
+            phase_detector(short, short, self.DT, 1.0 / self.F)
+
+    def test_batch_equals_one_dimensional_sums_bitwise(self):
+        # (samples, runs, n-1) against the reference broadcast over n-1; each
+        # value must equal the 1-d sum over that pair's window, bit for bit
+        rng = np.random.default_rng(4)
+        dt, period = 1e-2, 0.3  # a 150-sample window out of 160 samples
+        outputs = rng.normal(0.0, 1.0, (160, 5, 4)) * 1e-3
+        values = phase_detector(outputs[..., 1:], outputs[..., :1], dt, period)
+        assert values.shape == (5, 3)
+        window = int(round(5.0 * period / dt))
+        for b in range(5):
+            for i in range(1, 4):
+                x, r = outputs[-window:, b, i], outputs[-window:, b, 0]
+                one = np.clip(2000.0 * float(np.sum(x * r) * dt), -1.0, 1.0)
+                assert values[b, i - 1] == one, (b, i)
 
 
 class TestSpinsFromPhases:
     def test_clean_antiphase(self):
-        r = spins_from_phases(PhaseState(theta=np.array([0.05, np.pi - 0.1])))
-        assert r.spins == (1, -1)
-        assert r.resolved == (True, True)
-        assert r.bitstring() == "01"
+        spins, resolved = spins_from_phases(np.array([0.05, np.pi - 0.1]))
+        assert spins.tolist() == [1, -1]
+        assert resolved.tolist() == [True, True]
 
     def test_dead_zone_flags_unresolved(self):
-        r = spins_from_phases(
-            PhaseState(theta=np.array([0.0, np.pi / 2])), tolerance_rad=0.5
-        )
-        assert r.resolved == (True, False)
-        assert r.unresolved_count == 1
+        # 15 degrees either side of {0, pi} is resolved
+        _, resolved = spins_from_phases(np.array([0.0, np.pi / 2, np.deg2rad(14.0)]))
+        assert resolved.tolist() == [True, False, True]
+        assert np.count_nonzero(~resolved) == 1
 
     def test_reference_normalization(self):
-        r = spins_from_phases(PhaseState(theta=np.array([np.pi, 0.0])))
-        assert r.spins == (1, -1)  # global flip applied
-        assert r.bitstring() == "01"
+        spins, _ = spins_from_phases(np.array([np.pi, 0.0]))
+        assert spins.tolist() == [1, -1]  # global flip applied
 
     def test_invariant_under_global_pi_shift(self):
         theta = np.array([0.1, np.pi - 0.05, 0.2, np.pi + 0.02])
-        a = spins_from_phases(PhaseState(theta=theta))
-        b = spins_from_phases(PhaseState(theta=(theta + np.pi) % TWO_PI))
-        assert a.spins == b.spins
+        a, _ = spins_from_phases(theta)
+        b, _ = spins_from_phases((theta + np.pi) % TWO_PI)
+        assert np.array_equal(a, b)
 
 
 class TestSpinsFromDetectors:
     def test_signs_decode(self):
-        r = spins_from_detectors(np.array([0.8, -0.9, 0.7]), limit=1.0)
-        assert r.spins == (1, 1, -1, 1)
-        assert all(r.resolved)
+        spins, resolved = spins_from_detectors(np.array([0.8, -0.9, 0.7]))
+        assert spins.tolist() == [1, 1, -1, 1]
+        assert resolved.all()
 
     def test_dead_zone(self):
-        r = spins_from_detectors(np.array([0.02, -0.9]), limit=1.0)
-        assert r.resolved == (True, False, True)
+        _, resolved = spins_from_detectors(np.array([0.02, -0.9]))
+        assert resolved.tolist() == [True, False, True]
+
+    def test_batch_equals_rows(self):
+        values = np.array([[0.8, -0.05], [-0.9, 0.3]])
+        spins, resolved = spins_from_detectors(values)
+        for b in range(2):
+            row_spins, row_resolved = spins_from_detectors(values[b])
+            assert np.array_equal(spins[b], row_spins)
+            assert np.array_equal(resolved[b], row_resolved)
 
 
-def make_trace(times, thetas, sync_at=0.0):
-    return PhaseTrace(
-        times=np.asarray(times, float),
-        thetas=np.asarray(thetas, float),
-        sync_events=((sync_at, True),),
-    )
+def one_run(times, thetas):
+    """lock_period of a single run given as (samples, n)."""
+    (lock,) = lock_period(np.asarray(times, float), np.asarray(thetas, float)[:, None, :])
+    return lock
 
 
 class TestLockPeriod:
     def test_constant_binarized_trace_locks_at_zero(self):
         times = np.linspace(0, 5, 51)
         thetas = np.tile([0.0, np.pi], (51, 1))
-        assert lock_period(make_trace(times, thetas)) == 0.0
+        assert one_run(times, thetas) == 0.0
 
     def test_never_binarized_returns_none(self):
         times = np.linspace(0, 5, 51)
         thetas = np.tile([np.pi / 2, np.pi / 3], (51, 1))
-        assert lock_period(make_trace(times, thetas)) is None
+        assert one_run(times, thetas) is None
 
     def test_reports_start_of_held_window(self):
         times = np.linspace(0, 10, 101)
         thetas = np.where(times[:, None] >= 3.0, 0.0, np.pi / 2 * np.ones((101, 2)))
-        lock = lock_period(make_trace(times, thetas))
+        lock = one_run(times, thetas)
         assert lock == pytest.approx(3.0, abs=0.11)
 
     def test_requires_hold(self):
@@ -121,10 +135,36 @@ class TestLockPeriod:
         times = np.linspace(0, 10, 101)
         inside = (times >= 3.0) & (times <= 4.0)
         thetas = np.where(inside[:, None], 0.0, np.pi / 2 * np.ones((101, 2)))
-        assert lock_period(make_trace(times, thetas)) is None
+        assert one_run(times, thetas) is None
 
     def test_measured_from_sync_on(self):
+        # sampling began 2 periods before sync-on: the caller passes times
+        # shifted so that sync-on is 0
         times = np.linspace(0, 10, 101)
         thetas = np.where(times[:, None] >= 3.0, 0.0, np.pi / 2 * np.ones((101, 2)))
-        lock = lock_period(make_trace(times, thetas, sync_at=2.0))
+        lock = one_run(times - 2.0, thetas)
         assert lock == pytest.approx(1.0, abs=0.11)
+
+
+class TestBatchReadout:
+    def test_batch_equals_each_run_alone(self):
+        times = np.linspace(0, 10, 101)
+        late = times[:, None] >= 3.0
+        runs = [
+            np.tile([0.0, np.pi, 0.1], (101, 1)),  # binarized throughout
+            np.tile([np.pi / 2, np.pi / 3, 0.0], (101, 1)),  # never binarizes
+            np.where(late, [np.pi, 0.0, np.pi], [np.pi / 2, 0.0, 1.0]),  # locks at 3
+            np.where((times[:, None] >= 3.0) & (times[:, None] <= 8.0),
+                     [0.0, np.pi, 0.0], [0.7, np.pi, 0.0]),  # binarizes, then leaves
+            np.where(late, [np.pi + 0.1, 0.2, np.pi / 2], [0.0, 0.0, 0.0]),  # leaves for good
+        ]
+        thetas = np.stack(runs, axis=1)  # (S, B, n)
+        spins, resolved = spins_from_phases(thetas[-1])
+        locks = lock_period(times, thetas)
+        assert locks[0] == 0.0 and locks[1] is None and locks[3] is None
+        assert locks[2] == pytest.approx(3.0, abs=0.11)
+        for b, run in enumerate(runs):
+            run_spins, run_resolved = spins_from_phases(run[-1])
+            assert np.array_equal(spins[b], run_spins)
+            assert np.array_equal(resolved[b], run_resolved)
+            assert locks[b] == one_run(times, run)
