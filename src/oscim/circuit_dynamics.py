@@ -63,44 +63,55 @@ _RESIDUAL_TOL = 1e-11
 # calibrate: relative frequency tolerance and number of R*C refinements
 _CAL_TOLERANCE = 0.005
 _CAL_MAX_ITERS = 5
+# calibration's seeded free run: its length, its sample stride, and the
+# period after which it is on the limit cycle the state table is cut from
+_CAL_PERIODS = 50.0
+_SETTLE_STRIDE = 4
+_TABLE_START_PERIODS = 40
 
 
 def _make_output_solver(p: "OscParams"):
     """Solver for u = sat(gain*(c - u)) with c = drive + Q, sat(x) = L*tanh(x/L).
 
     The residual u - sat(...) is strictly increasing in u, so the root is
-    unique and bracketed by the saturation rails.  A few warm-started
-    Newton steps handle the common case; elements still unconverged fall
-    back to bisection, which cannot fail on a monotone residual.  An element
-    stops once its own residual is within tolerance, so each element's
-    result is independent of the others in the batch.
+    unique and bracketed by the saturation rails.  _integrate_network starts
+    each solve from a first-order prediction off the previous root (u_p, c_p):
+    u_p + k*(c - c_p) with k = du/dc = G*(1-(u_p/L)^2) / (1 + G*(1-(u_p/L)^2)),
+    so a Newton step or two usually suffices; elements still unconverged
+    fall back to bisection, which cannot fail on a monotone residual.  An
+    element stops once its own residual is within tolerance, so each
+    element's result is independent of the others in the batch.  A NaN
+    residual never counts as converged, so a NaN input gives a NaN output.
     """
     G = p.gain
     L = p.sat_level
+    g_over_l = G / L
+    one_plus_g = 1.0 + G
 
     def solve(c, guess):
-        lo = np.full(c.shape, -L)
-        hi = np.full(c.shape, L)
-        u = np.clip(guess, lo, hi)
+        u = np.clip(guess, -L, L)
+        lo, hi = -L, L
         for it in range(_NEWTON_ITERS + 1):
-            t = np.tanh(G * (c - u) / L)
+            t = np.tanh((c - u) * g_over_l)
             fu = u - L * t
-            live = np.abs(fu) >= _RESIDUAL_TOL
-            if not live.any():
+            done = np.abs(fu) < _RESIDUAL_TOL
+            if done.all():
                 return u
-            hi = np.where(fu > 0, u, hi)
-            lo = np.where(fu <= 0, u, lo)
+            above = fu > 0
+            hi = np.where(above, u, hi)
+            lo = np.where(above, lo, u)
             if it == _NEWTON_ITERS:
                 break
-            un = u - fu / (1.0 + G * (1.0 - t * t))
-            outside = (un <= lo) | (un >= hi)
-            u = np.where(live, np.where(outside, 0.5 * (lo + hi), un), u)
+            # converged elements take a zero step, so they stay put; a step
+            # leaving the bracket falls back to its midpoint, a NaN step stays NaN
+            un = u - np.where(done, 0.0, fu) / (one_plus_g - G * t * t)
+            u = np.where((un < lo) | (un > hi), 0.5 * (lo + hi), un)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
-            fm = mid - L * np.tanh(G * (c - mid) / L)
-            hi = np.where(fm > 0, mid, hi)
-            lo = np.where(fm <= 0, mid, lo)
-        return np.where(live, 0.5 * (lo + hi), u)
+            above = mid - L * np.tanh((c - mid) * g_over_l) > 0
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        return np.where(done, u, 0.5 * (lo + hi))
 
     return solve
 
@@ -187,16 +198,19 @@ def _integrate_network(
     g = p.sync_gain
     shil_w = TWO_PI * f_shil
     solver = _make_output_solver(p)
-    zero_drive = np.zeros(state.shape[:-1])
+    one_plus_g = 1.0 + p.gain
+    curv = p.gain / (p.sat_level * p.sat_level)
 
-    def f(st, tt, ug):
+    def f(st, tt, u_p, c_p):
         q1 = st[..., 0]
         q2 = st[..., 1]
         q3 = st[..., 2]
         s = st[..., 3]
         Q = q1 + q2 + q3
-        drive = -g * s if sync_on else zero_drive
-        u = solver(drive + Q, ug)
+        c = Q - g * s if sync_on else Q
+        # predicted warm start u_p + k*(c - c_p), k = 1 - 1/(1 + G*(1-(u_p/L)^2))
+        dc = c - c_p
+        u = solver(c, u_p + dc - dc / (one_plus_g - curv * (u_p * u_p)))
         v3 = u - Q
         v2 = v3 + q3
         v1 = v2 + q2
@@ -206,7 +220,7 @@ def _integrate_network(
         d[..., 2] = v3 * inv_rc
         summed = (W * u[..., None, :]).sum(axis=-1)
         d[..., 3] = ((summed + shil_volts * np.sin(shil_w * tt)) - s) * tau_s_inv
-        return d, u
+        return d, u, c
 
     n_samples = n_steps // sample_stride
     times = sample_stride * np.arange(1, n_samples + 1) * dt
@@ -219,23 +233,28 @@ def _integrate_network(
             states[i] = st
 
     # a sample's output is the next step's first-stage solve (same state, same
-    # guess); only a sample on the last step needs a solve of its own
-    ug = np.zeros(state.shape[:-1])
+    # previous root); only a sample on the last step needs a solve of its own.
+    # (u, c) = (0, 0) is a root, so it seeds the first prediction.
+    up = cp = np.zeros(state.shape[:-1])
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(n_steps):
         t = k * dt
-        k1, u1 = f(state, t, ug)
+        k1, u1, c1 = f(state, t, up, cp)
         if k and k % sample_stride == 0:
             store(k // sample_stride - 1, u1, state)
-        k2, u2 = f(state + half * k1, t + half, u1)
-        k3, u3 = f(state + half * k2, t + half, u2)
-        k4, u4 = f(state + dt * k3, t + dt, u3)
+        k2, u2, c2 = f(state + half * k1, t + half, u1, c1)
+        k3, u3, c3 = f(state + half * k2, t + half, u2, c2)
+        k4, up, cp = f(state + dt * k3, t + dt, u3, c3)
         state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        ug = u4
     t = n_steps * dt
     if n_steps and n_steps % sample_stride == 0:
-        store(n_samples - 1, f(state, t, ug)[1], state)
+        store(n_samples - 1, f(state, t, up, cp)[1], state)
+    bad = ~np.isfinite(outputs)
+    if bad.any():
+        i, *run, osc = (int(x) for x in np.argwhere(bad)[0])
+        where = (f"run {run[0]}, " if run else "") + f"oscillator {osc}"
+        raise SimulationDiverged(f"non-finite circuit output at t={times[i]:.6e} s ({where})")
     if not np.isfinite(state).all():
         raise SimulationDiverged(f"non-finite circuit state at t={t:.6e} s")
     if record_states:
@@ -281,14 +300,16 @@ def steady_amplitude(trace: CircuitTrace) -> float:
     return float(tail.max() - tail.min())
 
 
-def _free_run_single(p: OscParams, periods: float, f_ref: float):
+def _free_run_single(p: OscParams, periods: float, f_ref: float,
+                     record_states: bool = False):
     # deterministic seeded startup of one oscillator on a reference time base
     rng = np.random.default_rng(12345)
     q0 = rng.normal(0.0, 0.4 * p.sat_level, (1, 3))
     s0 = np.zeros(1)
     return _integrate_network(
         q0, s0, np.zeros((1, 1)), 0.0, f_ref, False, p, 1.0,
-        periods / f_ref, DEFAULT_STEPS_PER_PERIOD, 4, f_ref,
+        periods / f_ref, DEFAULT_STEPS_PER_PERIOD, _SETTLE_STRIDE, f_ref,
+        record_states=record_states,
     )
 
 
@@ -297,6 +318,21 @@ def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
     times, outputs, _ = _free_run_single(p, periods, f_ref)
     return CircuitTrace(times=times, outputs=outputs,
                         sync_flags=np.zeros(times.shape, dtype=bool))
+
+
+@functools.cache
+def _seeded_settle(p: OscParams, f_ref: float):
+    """(measured frequency, state on the limit cycle) from one seeded free run.
+
+    Calibration measures the frequency over _CAL_PERIODS periods; the state
+    after the first _TABLE_START_PERIODS of that same run is where the
+    limit-cycle table starts, so a calibrated process settles once.
+    """
+    times, outputs, _, states = _free_run_single(p, _CAL_PERIODS, f_ref, record_states=True)
+    trace = CircuitTrace(times=times, outputs=outputs,
+                         sync_flags=np.zeros(times.shape, dtype=bool))
+    i = _TABLE_START_PERIODS * DEFAULT_STEPS_PER_PERIOD // _SETTLE_STRIDE - 1
+    return measure_free_run_frequency(trace), states[i].copy()
 
 
 def calibrate(p: OscParams, target_f0: float) -> OscParams:
@@ -312,7 +348,7 @@ def calibrate(p: OscParams, target_f0: float) -> OscParams:
     rc_analytic = 1.0 / (TWO_PI * target_f0 * np.sqrt(6.0))
     cand = dataclasses.replace(p, R=rc_analytic / p.C)
     for _ in range(_CAL_MAX_ITERS + 1):
-        f_meas = measure_free_run_frequency(free_run_trace(cand, 50.0, target_f0))
+        f_meas, _ = _seeded_settle(cand, target_f0)
         if abs(f_meas - target_f0) / target_f0 <= _CAL_TOLERANCE:
             return cand
         cand = dataclasses.replace(cand, R=cand.R * f_meas / target_f0)
@@ -330,8 +366,8 @@ def calibrated_params(f0: float) -> OscParams:
 @functools.cache
 def _limit_cycle_states(p: OscParams, f0: float) -> np.ndarray:
     """(steps_per_period, 3) capacitor voltages over one steady period."""
-    # settle onto the limit cycle, then record one period at full rate
-    _, _, settled = _free_run_single(p, 40.0, f0)
+    # start from the settled state of calibration's run, record one period
+    _, settled = _seeded_settle(p, f0)
     _, _, _, states = _integrate_network(
         settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, f0, False, p, 1.0,
         1.0 / f0, DEFAULT_STEPS_PER_PERIOD, 1, f0, record_states=True,

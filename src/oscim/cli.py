@@ -60,14 +60,12 @@ def _load_graph(path: str) -> Graph:
 def _machine_for(args, g: Graph):
     shil = ShilConfig(amplitude=args.shil)
     quantizer = Quantizer(bits=args.bits)
-    detuning = ()
     return build_machine(
         g,
         global_scale=args.coupling,
         quantizer=quantizer,
         shil=shil,
         f0=args.f0,
-        detuning=detuning,
         noise_sigma=args.noise,
     )
 

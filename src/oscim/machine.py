@@ -35,28 +35,25 @@ class Quantizer:
     """Uniform quantizer emulating a digital potentiometer."""
 
     bits: int = DEFAULT_QUANTIZER_BITS
-    full_scale: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.bits <= 16:
             raise ValueError(f"bits must be in 1..16, got {self.bits}")
-        if not self.full_scale > 0:
-            raise ValueError("full_scale must be positive")
 
     @property
     def max_code(self) -> int:
         return (1 << self.bits) - 1
 
     def quantize(self, w: float) -> int:
-        """Weight in [0, full_scale] -> integer code, ties rounded half-up."""
-        if not 0.0 <= w <= self.full_scale:
-            raise ValueError(f"weight {w} outside [0, {self.full_scale}]")
-        return int(np.floor(w / self.full_scale * self.max_code + 0.5))
+        """Weight in [0, 1] -> integer code, ties rounded half-up."""
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"weight {w} outside [0, 1]")
+        return int(np.floor(w * self.max_code + 0.5))
 
     def dequantize(self, code: int) -> float:
         if not 0 <= code <= self.max_code:
             raise ValueError(f"code {code} outside [0, {self.max_code}]")
-        return code / self.max_code * self.full_scale
+        return code / self.max_code
 
 
 @dataclass(frozen=True)
@@ -86,11 +83,6 @@ class CouplingMatrix:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "signs", signs)
 
-    @classmethod
-    def zeros(cls, n: int, quantizer: Quantizer | None = None) -> "CouplingMatrix":
-        q = quantizer or Quantizer()
-        return cls(n=n, codes=np.zeros((n, n), int), signs=np.zeros((n, n), int), quantizer=q)
-
 
 @dataclass(frozen=True)
 class ShilConfig:
@@ -104,6 +96,8 @@ class ShilConfig:
     enabled: bool = True
 
     def __post_init__(self):
+        if self.amplitude is not None and not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.amplitude is not None and self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
 
@@ -126,6 +120,9 @@ class MachineConfig:
             raise ValueError("need at least two oscillators")
         if self.coupling.n != self.n:
             raise ValueError("coupling matrix size does not match oscillator count")
+        for name in ("f0", "global_scale", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f0 <= 0:
             raise ValueError("f0 must be positive")
         if self.global_scale < 0:
@@ -135,6 +132,11 @@ class MachineConfig:
         det = tuple(float(d) for d in (self.detuning or (0.0,) * self.n))
         if len(det) != self.n:
             raise ValueError("detuning must list one offset per oscillator")
+        if not np.isfinite(det).all():
+            raise ValueError(f"detuning must be finite, got {det}")
+        if min(det) <= -1.0:
+            # a relative frequency offset; the circuit scales R*C by 1/(1+detuning)
+            raise ValueError(f"detuning must be > -1, got {det}")
         object.__setattr__(self, "detuning", det)
 
 
@@ -153,7 +155,7 @@ def build_coupling(g: Graph, quantizer: Quantizer | None = None) -> CouplingMatr
         for u, v, w in g.edges:
             if w == 0.0:
                 continue
-            code = q.quantize(abs(w) / wmax * q.full_scale)
+            code = q.quantize(abs(w) / wmax)
             sign = 1 if w > 0 else -1
             codes[u - 1, v - 1] = codes[v - 1, u - 1] = code
             signs[u - 1, v - 1] = signs[v - 1, u - 1] = sign
@@ -190,7 +192,7 @@ def effective_weights(m: MachineConfig) -> np.ndarray:
     sum); it does not apply the sync gate, which the dynamics handle.
     """
     q = m.coupling.quantizer
-    mags = m.coupling.codes / q.max_code * q.full_scale
+    mags = m.coupling.codes / q.max_code
     return m.global_scale * m.coupling.signs * mags
 
 

@@ -7,7 +7,9 @@ from oscim import readout
 from oscim.circuit_dynamics import (
     CircuitTrace,
     OscParams,
+    _free_run_single,
     _integrate_network,
+    _limit_cycle_states,
     _make_output_solver,
     _protocol_run,
     calibrate,
@@ -18,6 +20,7 @@ from oscim.circuit_dynamics import (
     run_trace,
     steady_amplitude,
 )
+from oscim.errors import SimulationDiverged
 from oscim.harness import RunSchedule, run_many, run_seeds
 from oscim.machine import build_machine
 from oscim.problems import Graph
@@ -101,6 +104,27 @@ class TestSolver:
         assert np.array_equal(batch, alone)
 
 
+class TestDivergence:
+    def test_solver_nan_input_gives_nan_output(self):
+        solve = _make_output_solver(OscParams())
+        assert np.isnan(solve(np.array([np.nan]), np.array([0.5]))).all()
+        # a NaN element leaves its batch-mates as they are alone
+        u = solve(np.array([np.nan, 0.3]), np.array([0.5, 0.5]))
+        assert np.isnan(u[0])
+        assert u[1] == solve(np.array([0.3]), np.array([0.5]))[0]
+
+    def test_names_first_non_finite_output_sample(self):
+        q0 = np.zeros((2, 2, 3))
+        q0[1, 0, 0] = np.nan  # run 1, oscillator 0, at t=0
+        # the first output sample lands after 4 of the 400 steps per period
+        with pytest.raises(SimulationDiverged,
+                           match=r"t=2\.631579e-06 s \(run 1, oscillator 0\)"):
+            _integrate_network(
+                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 2 * F0, False,
+                OscParams(), 1.0, 0.1 / F0, 400, 4, F0,
+            )
+
+
 class TestFrequencyMeasurement:
     def test_synthetic_sine(self):
         t = np.arange(0, 30 / F0, 1 / (F0 * 400))
@@ -136,6 +160,23 @@ class TestCalibration:
     def test_already_calibrated_fixed_point(self, params):
         again = calibrate(params, F0)
         assert again.rc == pytest.approx(params.rc, rel=0.01)
+
+
+class TestSettleReuse:
+    def test_calibrated_resistance_unchanged(self):
+        # the analytic seed is accepted at both frequencies
+        assert calibrated_params(3800.0).R == 1709.8614062142021
+        assert calibrated_params(1900.0).R == 3419.7228124284043
+
+    def test_table_equals_independent_settle(self, params):
+        # the table starts from calibration's run after 40 periods; a separate
+        # 40-period settle from the same seeded start must give the same bits
+        _, _, settled = _free_run_single(params, 40.0, F0)
+        _, _, _, states = _integrate_network(
+            settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, F0, False, params,
+            1.0, 1.0 / F0, 400, 1, F0, record_states=True,
+        )
+        assert np.array_equal(_limit_cycle_states(params, F0), states[:, 0, :3])
 
 
 class TestAmplitude:

@@ -103,6 +103,18 @@ class TestSolve:
         assert rc == 1
         assert "settle_periods" in capsys.readouterr().err
 
+    def test_non_finite_noise_exits_1_before_work(self, triangle_file, monkeypatch, capsys):
+        from oscim import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the machine was checked")
+
+        monkeypatch.setattr(cli, "oracle_max_cut", no_work)
+        monkeypatch.setattr(cli, "run_many", no_work)
+        rc = main(["solve", "--graph", triangle_file, "--runs", "2", "--noise", "nan"])
+        assert rc == 1
+        assert "noise_sigma must be finite" in capsys.readouterr().err
+
     def test_trace_csv(self, edge_file, tmp_path):
         trace = tmp_path / "trace.csv"
         rc = main([

@@ -99,6 +99,31 @@ class TestCouplingMatrixInvariants:
             CouplingMatrix(n=2, codes=codes, signs=np.zeros((2, 2), int))
 
 
+class TestMachineConfigValidation:
+    EDGE = Graph(n=2, edges=((1, 2, 1.0),))
+
+    @pytest.mark.parametrize("field", ["f0", "global_scale", "noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scalar_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build_machine(self.EDGE, **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_detuning_rejected(self, value):
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            build_machine(self.EDGE, detuning=(0.0, value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_shil_amplitude_rejected(self, value):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            ShilConfig(amplitude=value)
+
+    @pytest.mark.parametrize("value", [-1.0, -1.5])
+    def test_detuning_at_or_below_minus_one_rejected(self, value):
+        with pytest.raises(ValueError, match="detuning must be > -1"):
+            build_machine(self.EDGE, detuning=(value, 0.0))
+
+
 class TestEffectiveWeights:
     def test_zero_codes_zero_weights(self):
         m = build_machine(Graph(n=3, edges=()))
