@@ -162,22 +162,16 @@ class CircuitTrace:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n(self) -> int:
-        return self.outputs.shape[1]
-
 
 def _integrate_network(
     q0: np.ndarray,
     s0: np.ndarray,
     W: np.ndarray,
     shil_volts: float,
-    f_shil: float,
     sync_on: bool,
     p: OscParams,
     rc_scale,
     duration_s: float,
-    steps_per_period: int,
     sample_stride: int,
     f0: float,
     record_states: bool = False,
@@ -186,17 +180,18 @@ def _integrate_network(
 
     Returns (times, u_samples, end_state[, state_samples]).  States are
     (..., n, 4) = (q1, q2, q3, s); the summer state always tracks the
-    coupled sum plus SHIL, while the gate decides whether the oscillator
-    sees it, so closing the gate causes no summer turn-on transient.
+    coupled sum plus SHIL at 2*f0, while the gate decides whether the
+    oscillator sees it, so closing the gate causes no summer turn-on
+    transient.  A non-finite output stops the run at the sample it shows in.
     """
     state = np.concatenate([np.asarray(q0, float), np.asarray(s0, float)[..., None]],
                            axis=-1)
-    dt = 1.0 / (f0 * steps_per_period)
-    n_steps = int(round(duration_s * f0 * steps_per_period))
+    dt = 1.0 / (f0 * DEFAULT_STEPS_PER_PERIOD)
+    n_steps = int(round(duration_s * f0 * DEFAULT_STEPS_PER_PERIOD))
     inv_rc = 1.0 / (p.rc * np.asarray(rc_scale))
     tau_s_inv = SUMMER_RATIO / p.rc
     g = p.sync_gain
-    shil_w = TWO_PI * f_shil
+    shil_w = TWO_PI * 2.0 * f0
     solver = _make_output_solver(p)
     one_plus_g = 1.0 + p.gain
     curv = p.gain / (p.sat_level * p.sat_level)
@@ -228,6 +223,12 @@ def _integrate_network(
     states = np.empty((n_samples,) + state.shape) if record_states else None
 
     def store(i, u, st):
+        bad = ~np.isfinite(u)
+        if bad.any():
+            *run, osc = (int(x) for x in np.argwhere(bad)[0])
+            where = (f"run {run[0]}, " if run else "") + f"oscillator {osc}"
+            raise SimulationDiverged(
+                f"non-finite circuit output at t={times[i]:.6e} s ({where})")
         outputs[i] = u
         if record_states:
             states[i] = st
@@ -250,11 +251,6 @@ def _integrate_network(
     t = n_steps * dt
     if n_steps and n_steps % sample_stride == 0:
         store(n_samples - 1, f(state, t, up, cp)[1], state)
-    bad = ~np.isfinite(outputs)
-    if bad.any():
-        i, *run, osc = (int(x) for x in np.argwhere(bad)[0])
-        where = (f"run {run[0]}, " if run else "") + f"oscillator {osc}"
-        raise SimulationDiverged(f"non-finite circuit output at t={times[i]:.6e} s ({where})")
     if not np.isfinite(state).all():
         raise SimulationDiverged(f"non-finite circuit state at t={t:.6e} s")
     if record_states:
@@ -264,8 +260,6 @@ def _integrate_network(
 
 def resolve_shil_voltage(m: MachineConfig, p: OscParams) -> float:
     """SHIL source amplitude in volts; unset machine amplitudes use the default."""
-    if not m.shil.enabled:
-        return 0.0
     units = DEFAULT_SHIL_UNITS if m.shil.amplitude is None else float(m.shil.amplitude)
     return units * p.sat_level
 
@@ -307,8 +301,8 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float,
     q0 = rng.normal(0.0, 0.4 * p.sat_level, (1, 3))
     s0 = np.zeros(1)
     return _integrate_network(
-        q0, s0, np.zeros((1, 1)), 0.0, f_ref, False, p, 1.0,
-        periods / f_ref, DEFAULT_STEPS_PER_PERIOD, _SETTLE_STRIDE, f_ref,
+        q0, s0, np.zeros((1, 1)), 0.0, False, p, 1.0,
+        periods / f_ref, _SETTLE_STRIDE, f_ref,
         record_states=record_states,
     )
 
@@ -369,8 +363,8 @@ def _limit_cycle_states(p: OscParams, f0: float) -> np.ndarray:
     # start from the settled state of calibration's run, record one period
     _, settled = _seeded_settle(p, f0)
     _, _, _, states = _integrate_network(
-        settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, f0, False, p, 1.0,
-        1.0 / f0, DEFAULT_STEPS_PER_PERIOD, 1, f0, record_states=True,
+        settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
+        1.0 / f0, 1, f0, record_states=True,
     )
     table = states[:, 0, :3].copy()
     table.setflags(write=False)  # one cached array serves every caller
@@ -416,12 +410,12 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     shil = resolve_shil_voltage(m, p)
     stride = 4  # detector fidelity: 100 samples per period
     t_free, u_free, final = _integrate_network(
-        q0, s0, W, shil, 2.0 * m.f0, False, p, rc_scale,
-        sched.free_run_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
+        q0, s0, W, shil, False, p, rc_scale,
+        sched.free_run_periods / m.f0, stride, m.f0,
     )
     t_on, u_on, _ = _integrate_network(
-        final[..., :3], final[..., 3], W, shil, 2.0 * m.f0, True, p, rc_scale,
-        sched.settle_periods / m.f0, DEFAULT_STEPS_PER_PERIOD, stride, m.f0,
+        final[..., :3], final[..., 3], W, shil, True, p, rc_scale,
+        sched.settle_periods / m.f0, stride, m.f0,
     )
     return t_free, u_free, t_on, u_on
 

@@ -132,14 +132,14 @@ def cmd_solve(args) -> int:
     }
     _emit(doc, args.out)
     if args.trace is not None:
-        _write_trace(args, g, m, sched)
+        _write_trace(args, m, sched)
     return 0
 
 
-def _write_trace(args, g, m, sched) -> None:
+def _write_trace(args, m, sched) -> None:
     """Run 0 of the solve batch, recorded sample by sample."""
     if args.backend == "phase":
-        times, thetas = phase_protocol_run(g, m, sched, run_seeds(args.seed, 1))
+        times, thetas = phase_protocol_run(m, sched, run_seeds(args.seed, 1))
         values = wrap_phase(thetas[:, 0, :])
         flags = np.ones(len(times), dtype=int)
     else:
@@ -155,12 +155,7 @@ def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     optimum, _ = oracle_max_cut(g)
     lines = [_fmt_num(optimum)] + list(optimal_bitstrings(g))
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -179,11 +174,7 @@ def cmd_sweep(args) -> int:
     sys.stderr.write(
         f"best scale {best.scale} (success_rate {best.success_rate:.3f})\n"
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write_out(buf.getvalue(), args.out)
     return 0
 
 
@@ -212,12 +203,16 @@ def cmd_convert(args) -> int:
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    payload = document_bytes(doc)
+    _write_out(document_bytes(doc), out_path)
+
+
+def _write_out(text: str, out_path: str | None) -> None:
+    """Write to the --out file, or to stdout when none is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fp:
-            fp.write(payload)
+            fp.write(text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
 
 
 def _fmt_num(x: float) -> str:
@@ -241,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_graph=True):
-        if needs_graph:
-            p.add_argument("--graph", required=True, help="graph file path")
+    def common(p):
+        p.add_argument("--graph", required=True, help="graph file path")
         p.add_argument("--backend", choices=("phase", "circuit"), default="phase")
         p.add_argument("--runs", type=int, default=100)
         p.add_argument("--coupling", type=float, default=DEFAULT_GLOBAL_SCALE,

@@ -56,12 +56,6 @@ def parse_graph_file(text: str) -> Graph:
     return Graph(n=n, edges=tuple(edges))
 
 
-def format_graph_file(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines += [f"{u} {v} {w!r}" for u, v, w in g.edges]
-    return "\n".join(lines) + "\n"
-
-
 def ising_to_document(p: IsingProblem) -> dict:
     return {
         "kind": "ising",

@@ -44,16 +44,13 @@ class RunSchedule:
 
     free_run_periods: float = 5.0
     settle_periods: float = 15.0
-    staggered_delays: tuple[float, ...] | None = None  # per-edge enable delays
 
     def __post_init__(self):
+        for name in ("free_run_periods", "settle_periods"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.free_run_periods < 0 or self.settle_periods <= 0:
             raise ValueError("schedule durations must be nonnegative (settle positive)")
-        if self.staggered_delays is not None:
-            d = tuple(float(x) for x in self.staggered_delays)
-            if any(x < 0 for x in d):
-                raise ValueError("staggered delays must be nonnegative")
-            object.__setattr__(self, "staggered_delays", d)
 
 
 @dataclass(frozen=True)
@@ -106,12 +103,6 @@ class SweepPoint:
     unresolved_rate: float
 
 
-@dataclass(frozen=True)
-class StaggerComparison:
-    simultaneous: RunStats
-    staggered: RunStats
-
-
 _ORACLE_CACHE: dict[tuple, tuple[float, frozenset]] = {}
 
 
@@ -160,7 +151,6 @@ def _run_results(g: Graph, optimum: float, spins, resolved, locks) -> list[RunRe
 
 
 def phase_protocol_run(
-    g: Graph,
     m: MachineConfig,
     sched: RunSchedule,
     seeds: list[np.random.SeedSequence],
@@ -180,50 +170,20 @@ def phase_protocol_run(
     noise = None
     if m.noise_sigma > 0:
         noise = np.stack([r.standard_normal((n_steps, n)) for r in rngs], axis=1)
-    if sched.staggered_delays is None:
-        return phase.integrate_batch(
-            theta0, K, Ks, delta, sched.settle_periods,
-            noise_sigma=m.noise_sigma, noise=noise,
-        )
-    return _integrate_staggered(g, sched, theta0, K, Ks, delta, m.noise_sigma, noise)
+    return phase.integrate_batch(
+        theta0, K, Ks, delta, sched.settle_periods,
+        noise_sigma=m.noise_sigma, noise=noise,
+    )
 
 
-def _integrate_staggered(g, sched, theta0, K, Ks, delta, noise_sigma, noise):
-    """Piecewise integration enabling each edge at its scheduled delay.
-
-    Delays are rounded to whole RK4 steps, so the segments add up to exactly
-    the steps the noise was drawn for.
-    """
-    spp = phase.DEFAULT_STEPS_PER_PERIOD
-    n_steps = int(round(sched.settle_periods * spp))
-    on_at = [int(round(d * spp)) for d in sched.staggered_delays]
-    bounds = sorted({0, n_steps} | {k for k in on_at if k < n_steps})
-    times, thetas = [], []
-    theta = theta0
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        mask = np.zeros_like(K)
-        for (u, v, _), k in zip(g.edges, on_at):
-            if k <= start:
-                mask[u - 1, v - 1] = mask[v - 1, u - 1] = 1.0
-        t, th = phase.integrate_batch(
-            theta, K * mask, Ks, delta, (end - start) / spp,
-            noise_sigma=noise_sigma, noise=None if noise is None else noise[start:end],
-        )
-        theta = th[-1]
-        skip = 1 if times else 0  # a segment's first sample ends the previous one
-        times.append(t[skip:] + start / spp)
-        thetas.append(th[skip:])
-    return np.concatenate(times), np.concatenate(thetas)
-
-
-def _phase_run_batch(g: Graph, m: MachineConfig, sched: RunSchedule, seeds):
+def _phase_run_batch(m: MachineConfig, sched: RunSchedule, seeds):
     """(spins, resolved, locks) of a batch of seeded phase-backend runs."""
-    times, thetas = phase_protocol_run(g, m, sched, seeds)
+    times, thetas = phase_protocol_run(m, sched, seeds)
     spins, resolved = spins_from_phases(thetas[-1])
     return spins, resolved, lock_period(times, thetas)
 
 
-def _circuit_run_batch(g: Graph, m: MachineConfig, sched: RunSchedule, seeds):
+def _circuit_run_batch(m: MachineConfig, sched: RunSchedule, seeds):
     """(spins, resolved, locks) of a batch of seeded circuit-backend runs."""
     spins, resolved = circuit.run_readout_batch(m, sched, seeds)
     return spins, resolved, [None] * len(seeds)
@@ -251,19 +211,16 @@ def run_many(
     if g.n != m.n:
         relation = "larger" if g.n > m.n else "smaller"
         raise ValueError(f"graph ({g.n} vertices) {relation} than machine ({m.n})")
+    if backend == "circuit" and m.noise_sigma > 0:
+        raise ValueError("noise_sigma > 0 is modelled on the phase backend only")
     sched = sched or RunSchedule()
-    if sched.staggered_delays is not None:
-        if len(sched.staggered_delays) != len(g.edges):
-            raise ValueError("need one delay per edge")
-        if backend != "phase":
-            raise ValueError("staggered activation is modelled on the phase backend only")
     optimum, _ = oracle_max_cut(g)
     seeds = run_seeds(seed, runs)
     batch_fn = _phase_run_batch if backend == "phase" else _circuit_run_batch
     batches = [seeds] if parallel else [[s] for s in seeds]
     results = []
     for batch in batches:
-        results.extend(_run_results(g, optimum, *batch_fn(g, m, sched, batch)))
+        results.extend(_run_results(g, optimum, *batch_fn(m, sched, batch)))
     return _aggregate(results)
 
 
@@ -332,31 +289,3 @@ def best_operating_point(rows: list[SweepPoint]) -> SweepPoint:
     near = [r for r in rows if r.success_rate >= max(TARGET_SUCCESS, best_sr - 0.05)]
     pool = near or rows
     return min(pool, key=lambda r: (r.unresolved_rate, -r.success_rate))
-
-
-def staggered_activation_experiment(
-    g: Graph,
-    m: MachineConfig,
-    backend: str = "phase",
-    delays: tuple[float, ...] = (),
-    runs: int = 50,
-    seed: int = 0,
-    sched: RunSchedule | None = None,
-) -> StaggerComparison:
-    """Simultaneous versus staggered weight activation, same seeds.
-
-    Exploratory: reports both statistics without asserting an ordering.
-    With all-zero delays the two arms are identical.  Phase backend only.
-    """
-    base = sched or RunSchedule()
-    delays = delays or tuple(0.0 for _ in g.edges)
-    max_delay = max(delays) if delays else 0.0
-    staggered_sched = RunSchedule(
-        free_run_periods=base.free_run_periods,
-        settle_periods=base.settle_periods + max_delay,
-        staggered_delays=delays,
-    )
-    # staggered arm first: run_many rejects a wrong delay count before any work
-    staggered = run_many(g, m, backend, staggered_sched, runs=runs, seed=seed)
-    simultaneous = run_many(g, m, backend, base, runs=runs, seed=seed)
-    return StaggerComparison(simultaneous=simultaneous, staggered=staggered)

@@ -93,7 +93,6 @@ class ShilConfig:
     """
 
     amplitude: float | None = None
-    enabled: bool = True
 
     def __post_init__(self):
         if self.amplitude is not None and not np.isfinite(self.amplitude):
@@ -204,8 +203,6 @@ def resolve_shil_strength(m: MachineConfig) -> float:
     unprogrammed machine (all weights zero) keeps the full default so SHIL
     alone still binarizes the phases.
     """
-    if not m.shil.enabled:
-        return 0.0
     if m.shil.amplitude is not None:
         return float(m.shil.amplitude)
     rowsum = float(np.abs(effective_weights(m)).sum(axis=1).max())

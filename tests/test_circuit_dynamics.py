@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oscim import readout
+from oscim import circuit_dynamics, readout
 from oscim.circuit_dynamics import (
     CircuitTrace,
     OscParams,
@@ -54,8 +54,8 @@ class TestOscillationCondition:
     def test_small_perturbation_grows(self, params):
         q0 = np.full((1, 3), 1e-3)
         times, outputs, _ = _integrate_network(
-            q0, np.zeros(1), np.zeros((1, 1)), 0.0, F0, False, params, 1.0,
-            25.0 / F0, 400, 4, F0,
+            q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
+            25.0 / F0, 4, F0,
         )
         early = np.abs(outputs[: len(times) // 10, 0]).max()
         late = np.abs(outputs[-len(times) // 10:, 0]).max()
@@ -120,8 +120,35 @@ class TestDivergence:
         with pytest.raises(SimulationDiverged,
                            match=r"t=2\.631579e-06 s \(run 1, oscillator 0\)"):
             _integrate_network(
-                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 2 * F0, False,
-                OscParams(), 1.0, 0.1 / F0, 400, 4, F0,
+                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
+                OscParams(), 1.0, 0.1 / F0, 4, F0,
+            )
+
+
+    def test_diverged_run_stops_at_its_first_sample(self, monkeypatch):
+        # one NaN charge over a 50-period window: the run must stop at the
+        # first stored sample (4 RK4 steps of 4 solves, plus that sample's)
+        # instead of integrating all 20 000 steps before the check
+        calls = []
+        real = circuit_dynamics._make_output_solver
+
+        def counting(p):
+            solve = real(p)
+
+            def wrapped(c, guess):
+                calls.append(1)
+                assert len(calls) <= 3 * 4 * 4, "integration went on past divergence"
+                return solve(c, guess)
+
+            return wrapped
+
+        monkeypatch.setattr(circuit_dynamics, "_make_output_solver", counting)
+        q0 = np.zeros((2, 2, 3))
+        q0[0, 1, 2] = np.nan
+        with pytest.raises(SimulationDiverged, match=r"\(run 0, oscillator 1\)"):
+            _integrate_network(
+                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
+                OscParams(), 1.0, 50.0 / F0, 4, F0,
             )
 
 
@@ -173,8 +200,8 @@ class TestSettleReuse:
         # 40-period settle from the same seeded start must give the same bits
         _, _, settled = _free_run_single(params, 40.0, F0)
         _, _, _, states = _integrate_network(
-            settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, F0, False, params,
-            1.0, 1.0 / F0, 400, 1, F0, record_states=True,
+            settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, params,
+            1.0, 1.0 / F0, 1, F0, record_states=True,
         )
         assert np.array_equal(_limit_cycle_states(params, F0), states[:, 0, :3])
 
@@ -186,8 +213,8 @@ class TestAmplitude:
             rng = np.random.default_rng(seed)
             q0 = rng.normal(0, 0.2 * params.sat_level * (seed), (1, 3))
             times, outputs, _ = _integrate_network(
-                q0, np.zeros(1), np.zeros((1, 1)), 0.0, F0, False, params, 1.0,
-                35.0 / F0, 400, 4, F0,
+                q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
+                35.0 / F0, 4, F0,
             )
             trace = CircuitTrace(times=times, outputs=outputs[:, :],
                                  sync_flags=np.zeros(len(times), bool))
@@ -206,8 +233,8 @@ def locked_pair(params):
     theta0 = np.array([0.8, 2.1])
     q0, s0 = phases_to_network_state(theta0, params, F0)
     times, outputs, _ = _integrate_network(
-        q0[None], s0[None], W, 0.25 * params.sat_level, 2 * F0, True, params,
-        np.ones((1, 2)), 30.0 / F0, 400, 4, F0,
+        q0[None], s0[None], W, 0.25 * params.sat_level, True, params,
+        np.ones((1, 2)), 30.0 / F0, 4, F0,
     )
     return times, outputs[:, 0, :], w
 
@@ -244,7 +271,7 @@ def edge_trace(params):
 
 class TestSimulateCircuit:
     def test_free_running_machine_trace(self, edge_trace):
-        assert edge_trace.n == 2
+        assert edge_trace.outputs.shape[1] == 2
         # sync off for the free interval: 100 samples per period over 20 periods
         assert abs(int((~edge_trace.sync_flags).sum()) - 2000) <= 2
         assert not edge_trace.sync_flags[:2000].any()
@@ -270,12 +297,12 @@ class TestGateIndependence:
         q0 = rng.normal(0, 0.3, (1, 2, 3))
         s0 = np.zeros((1, 2))
         _, joint, _ = _integrate_network(
-            q0, s0, W, 0.5, 2 * F0, False, params, 1.0, 10.0 / F0, 400, 4, F0,
+            q0, s0, W, 0.5, False, params, 1.0, 10.0 / F0, 4, F0,
         )
         for k in range(2):
             _, alone, _ = _integrate_network(
-                q0[:, k:k + 1, :], s0[:, k:k + 1], np.zeros((1, 1)), 0.0, 2 * F0,
-                False, params, 1.0, 10.0 / F0, 400, 4, F0,
+                q0[:, k:k + 1, :], s0[:, k:k + 1], np.zeros((1, 1)), 0.0,
+                False, params, 1.0, 10.0 / F0, 4, F0,
             )
             assert np.allclose(joint[:, 0, k], alone[:, 0, 0], atol=1e-12)
 

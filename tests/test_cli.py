@@ -115,6 +115,38 @@ class TestSolve:
         assert rc == 1
         assert "noise_sigma must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--free-run-periods", "--settle-periods"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_schedule_exits_1_before_work(self, triangle_file, monkeypatch,
+                                                     capsys, flag, value):
+        from oscim import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the schedule was checked")
+
+        monkeypatch.setattr(cli, "oracle_max_cut", no_work)
+        monkeypatch.setattr(cli, "run_many", no_work)
+        rc = main(["solve", "--graph", triangle_file, "--runs", "2", flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err
+
+    def test_circuit_noise_exits_1_before_calibration(self, triangle_file, monkeypatch,
+                                                      capsys):
+        from oscim import circuit_dynamics
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the noise check")
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_calibration)
+        for command in ("solve", "sweep"):
+            rc = main([command, "--graph", triangle_file, "--backend", "circuit",
+                       "--noise", "0.5", "--runs", "2", "--settle-periods", "6",
+                       "--seed", "1"])
+            assert rc == 1
+            assert "phase backend only" in capsys.readouterr().err
+
     def test_trace_csv(self, edge_file, tmp_path):
         trace = tmp_path / "trace.csv"
         rc = main([

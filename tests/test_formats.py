@@ -9,7 +9,6 @@ import pytest
 from oscim.errors import GraphFormatError
 from oscim.formats import (
     document_bytes,
-    format_graph_file,
     ising_to_document,
     parse_graph_file,
     problem_from_document,
@@ -56,10 +55,6 @@ class TestParseGraphFile:
     def test_missing_header(self):
         with pytest.raises(GraphFormatError, match="header"):
             parse_graph_file("1 2 1.0\n")
-
-    def test_round_trip(self):
-        g = parse_graph_file("n 3\n1 2 0.25\n2 3 1.5\n")
-        assert parse_graph_file(format_graph_file(g)) == g
 
 
 class TestProblemDocuments:

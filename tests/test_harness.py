@@ -1,19 +1,17 @@
-"""Run protocol: determinism, histogram accounting, sweeps, staggering."""
+"""Run protocol: determinism, histogram accounting, schedules, sweeps."""
 
 import numpy as np
 import pytest
 
-from oscim import circuit_dynamics, phase_dynamics
+from oscim import circuit_dynamics, harness, phase_dynamics
 from oscim.harness import (
     RunSchedule,
-    _integrate_staggered,
     best_operating_point,
     optimal_bitstrings,
     run_many,
-    staggered_activation_experiment,
     sweep_coupling,
 )
-from oscim.machine import build_machine, effective_weights
+from oscim.machine import build_machine
 from oscim.problems import Graph
 
 EDGE = Graph(n=2, edges=((1, 2, 1.0),))
@@ -108,6 +106,19 @@ class TestRunMany:
             run_many(EDGE, m, backend="circuit", sched=RunSchedule(settle_periods=3.0),
                      runs=1, seed=0)
 
+    def test_circuit_backend_rejects_noise_before_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the noise check")
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_work)
+        monkeypatch.setattr(harness, "oracle_max_cut", no_work)
+        m = build_machine(TRIANGLE, global_scale=0.2, noise_sigma=0.5)
+        with pytest.raises(ValueError, match="phase backend only"):
+            run_many(TRIANGLE, m, "circuit", RunSchedule(settle_periods=6.0), runs=2, seed=1)
+        with pytest.raises(ValueError, match="phase backend only"):
+            sweep_coupling(TRIANGLE, m, "circuit", RunSchedule(settle_periods=6.0),
+                           scales=(0.1, 0.2), runs_per_point=2, seed=1)
+
     def test_noise_runs_are_seeded(self):
         m = build_machine(EDGE, global_scale=0.2, noise_sigma=0.05)
         a = run_many(EDGE, m, runs=4, seed=13)
@@ -115,6 +126,14 @@ class TestRunMany:
         assert a.run_results == b.run_results
         seq = run_many(EDGE, m, runs=4, seed=13, parallel=False)
         assert a.run_results == seq.run_results
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("field", ["free_run_periods", "settle_periods"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RunSchedule(**{field: value})
 
 
 class TestSweep:
@@ -149,62 +168,6 @@ class TestSweep:
             SweepPoint(0.2, 0.99, 4.0, 0.2, 0.5),
         ]
         assert best_operating_point(rows).scale == 0.1
-
-
-class TestStaggered:
-    def test_zero_delays_identical_arms(self):
-        m = build_machine(TRIANGLE, global_scale=0.2)
-        cmp = staggered_activation_experiment(
-            TRIANGLE, m, delays=(0.0, 0.0, 0.0), runs=6, seed=2
-        )
-        assert cmp.simultaneous == cmp.staggered
-
-    def test_reports_both_arms(self):
-        m = build_machine(TRIANGLE, global_scale=0.2)
-        cmp = staggered_activation_experiment(
-            TRIANGLE, m, delays=(0.0, 5.0, 10.0), runs=6, seed=2
-        )
-        assert cmp.simultaneous.runs == 6
-        assert cmp.staggered.runs == 6
-        assert 0.0 <= cmp.staggered.success_rate <= 1.0
-
-    def test_noise_with_delays_off_the_step_grid(self):
-        m = build_machine(TRIANGLE, global_scale=0.2, noise_sigma=0.05)
-        delays = (0.0, 0.0075, 0.015)
-        cmp = staggered_activation_experiment(TRIANGLE, m, delays=delays, runs=2, seed=2)
-        assert cmp.staggered.runs == 2
-        sched = RunSchedule(settle_periods=15.015, staggered_delays=delays)
-        n_steps = 3003  # round(15.015 * 200): the steps the noise is drawn for
-        K = -effective_weights(m)
-        noise = np.random.default_rng(0).standard_normal((n_steps, 2, 3))
-        times, thetas = _integrate_staggered(
-            TRIANGLE, sched, np.zeros((2, 3)), K, 0.1, np.zeros(3), 0.05, noise
-        )
-        assert times[-1] == pytest.approx(n_steps / 200, abs=1e-12)
-        assert thetas.shape == (len(times), 2, 3)
-
-    def test_circuit_backend_rejects_delays(self, monkeypatch):
-        def no_calibration(*args, **kwargs):
-            raise AssertionError("calibration ran before the delay check")
-
-        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_calibration)
-        m = build_machine(TRIANGLE, global_scale=0.2)
-        sched = RunSchedule(settle_periods=25.0, staggered_delays=(0.0, 5.0, 10.0))
-        with pytest.raises(ValueError, match="phase backend only"):
-            run_many(TRIANGLE, m, "circuit", sched, runs=1, seed=0)
-        with pytest.raises(ValueError, match="phase backend only"):
-            staggered_activation_experiment(
-                TRIANGLE, m, backend="circuit", delays=(0.0, 5.0, 10.0), runs=2, seed=3
-            )
-
-    def test_wrong_delay_count(self):
-        m = build_machine(TRIANGLE)
-        with pytest.raises(ValueError, match="per edge"):
-            staggered_activation_experiment(TRIANGLE, m, delays=(1.0,), runs=2, seed=0)
-        sched = RunSchedule(staggered_delays=(1.0,))
-        for backend in ("phase", "circuit"):
-            with pytest.raises(ValueError, match="per edge"):
-                run_many(TRIANGLE, m, backend, sched, runs=1, seed=0)
 
 
 class TestOptimalBitstrings:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oscim.circuit_dynamics import OscParams, resolve_shil_voltage
 from oscim.machine import (
     CouplingMatrix,
     MachineConfig,
@@ -180,8 +181,9 @@ class TestShilResolution:
 
     def test_disabled_shil_is_zero(self):
         g = Graph(n=2, edges=((1, 2, 1.0),))
-        m = build_machine(g, shil=ShilConfig(enabled=False))
+        m = build_machine(g, shil=ShilConfig(amplitude=0.0))
         assert resolve_shil_strength(m) == 0.0
+        assert resolve_shil_voltage(m, OscParams()) == 0.0
 
     def test_default_capped_by_row_sum(self):
         g = Graph(n=2, edges=((1, 2, 1.0),))
