@@ -44,7 +44,7 @@ from .machine import (
     resolve_shil_strength,
 )
 from .phase_dynamics import wrap_phase
-from .problems import Graph, IsingProblem, Qubo, ising_to_qubo, qubo_to_ising
+from .problems import Graph, Qubo, ising_to_qubo, qubo_to_ising
 
 DEFAULT_SCALE_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 

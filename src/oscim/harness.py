@@ -157,22 +157,34 @@ def phase_protocol_run(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded protocol runs on the phase backend: (times (S,), thetas (S, B, n)).
 
-    Each run's generator draws its initial phases, then its noise; all runs
-    share one integration loop, which keeps run b identical to a batch of
-    seeds[b] alone.
+    The step count per period comes from the coupling
+    (``phase_dynamics.steps_per_period_for``).  Each run's generator draws its
+    initial phases, then its noise on the DEFAULT_STEPS_PER_PERIOD grid,
+    which is summed into the coarse steps, so a seed gives one Brownian path
+    whatever the step.  All runs share one integration loop, which keeps
+    run b identical to a batch of seeds[b] alone.
     """
     n = m.n
+    K, Ks = phase.coupling_terms(set_sync(m, True))
+    spp = phase.steps_per_period_for(K, Ks)
+    n_steps = int(round(sched.settle_periods * spp))
+    if n_steps < 1:
+        raise ValueError(
+            f"settle_periods={sched.settle_periods} is shorter than one RK4 step "
+            f"(1/{spp} period at this coupling)"
+        )
     rngs = [np.random.default_rng(s) for s in seeds]
     theta0 = np.stack([phase.random_initial_phases(n, r).theta for r in rngs])
-    K, Ks = phase.coupling_terms(set_sync(m, True))
-    delta = np.asarray(m.detuning)
-    n_steps = int(round(sched.settle_periods * phase.DEFAULT_STEPS_PER_PERIOD))
     noise = None
     if m.noise_sigma > 0:
-        noise = np.stack([r.standard_normal((n_steps, n)) for r in rngs], axis=1)
+        fine = phase.DEFAULT_STEPS_PER_PERIOD // spp
+        noise = np.stack([
+            r.standard_normal((n_steps * fine, n)).reshape(n_steps, fine, n).sum(axis=1)
+            for r in rngs
+        ], axis=1)
     return phase.integrate_batch(
-        theta0, K, Ks, delta, sched.settle_periods,
-        noise_sigma=m.noise_sigma, noise=noise,
+        theta0, K, Ks, np.asarray(m.detuning), sched.settle_periods,
+        steps_per_period=spp, noise_sigma=m.noise_sigma, noise=noise,
     )
 
 

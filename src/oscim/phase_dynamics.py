@@ -54,6 +54,11 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_STEPS_PER_PERIOD = 200
 SAMPLES_PER_PERIOD = 16.0
 
+# Step counts a protocol run may use.  Each divides DEFAULT_STEPS_PER_PERIOD,
+# so a coarse step's noise is a sum of whole fine-grid increments and a
+# seeded run keeps one Brownian path whatever its step.
+STEP_RUNGS = (25, 40, 50, 100, 200)
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -151,6 +156,21 @@ def random_initial_phases(n: int, rng: np.random.Generator) -> PhaseState:
     return PhaseState(theta=rng.uniform(0.0, TWO_PI, n))
 
 
+def steps_per_period_for(K, Ks) -> int:
+    """Smallest STEP_RUNGS entry whose RK4 step resolves the coupling's stiffness.
+
+    The Jacobian of the right-hand side has, by Gershgorin, every eigenvalue
+    within L = 2 max_i sum_j |K_ij| + 2|Ks| of zero (per radian time); the
+    step h = 2*pi/steps_per_period must keep h*L <= 1.  Couplings too stiff
+    for every rung get the last, DEFAULT_STEPS_PER_PERIOD.
+    """
+    stiffness = 2.0 * float(np.abs(K).sum(axis=-1).max()) + 2.0 * abs(Ks)
+    for spp in STEP_RUNGS:
+        if TWO_PI / spp * stiffness <= 1.0:
+            return spp
+    return STEP_RUNGS[-1]
+
+
 def _rk4(theta, K, Ks, delta, dt):
     # time in periods; rhs is per radian time
     h = TWO_PI * dt
@@ -176,9 +196,12 @@ def integrate_batch(
     theta0 has shape (B, n); K is (n, n) or (B, n, n); Ks and delta
     broadcast against (B, n).  Returns (times (S,), thetas (S, B, n)) with
     the initial sample included and SAMPLES_PER_PERIOD samples per period.
-    ``noise`` supplies pre-drawn standard normal increments of shape
-    (steps, B, n) when noise_sigma > 0; any other shape raises ValueError
-    before the first step.
+    When noise_sigma > 0, ``noise`` has shape (steps, B, n) and step k adds
+    noise_sigma * sqrt(1/DEFAULT_STEPS_PER_PERIOD) * noise[k]: each entry is
+    the sum of the standard normal increments on the DEFAULT_STEPS_PER_PERIOD
+    grid that the step covers, so steps_per_period must divide that grid.
+    Bad noise raises ValueError before the first step.  A non-finite sample
+    raises SimulationDiverged as soon as it is stored.
 
     The per-run arithmetic is identical whatever the batch size, so runs
     executed together or one at a time produce bit-identical trajectories.
@@ -188,6 +211,11 @@ def integrate_batch(
     n_steps = int(round(duration_periods * steps_per_period))
     theta = np.array(theta0, dtype=float)
     if noise_sigma > 0.0:
+        if DEFAULT_STEPS_PER_PERIOD % steps_per_period:
+            raise ValueError(
+                f"noisy runs need steps_per_period dividing {DEFAULT_STEPS_PER_PERIOD}, "
+                f"got {steps_per_period}"
+            )
         want = (n_steps,) + theta.shape
         got = None if noise is None else np.shape(noise)
         if got != want:
@@ -197,25 +225,30 @@ def integrate_batch(
     sample_at = np.zeros(n_steps + 1, dtype=bool)
     sample_at[np.round(np.arange(1, n_samples + 1) * n_steps / n_samples).astype(int)] = True
     sample_at[n_steps] = True
-    sqrt_dt = np.sqrt(1.0 / steps_per_period)
+    noise_scale = noise_sigma * np.sqrt(1.0 / DEFAULT_STEPS_PER_PERIOD)
+    dt = 1.0 / steps_per_period
+    _check_finite(theta, 0.0)
     times = [0.0]
     samples = [theta.copy()]
-    dt = 1.0 / steps_per_period
     for k in range(n_steps):
         theta = _rk4(theta, K, Ks, delta, dt)
         if noise_sigma > 0.0:
-            theta = theta + noise_sigma * sqrt_dt * noise[k]
+            theta = theta + noise_scale * noise[k]
         if sample_at[k + 1]:
+            _check_finite(theta, (k + 1) * dt)
             times.append((k + 1) * dt)
             samples.append(theta.copy())
-    thetas = np.stack(samples)
-    finite = np.isfinite(thetas)
+    return np.array(times), np.stack(samples)
+
+
+def _check_finite(theta, t: float) -> None:
+    """Raise SimulationDiverged naming the first non-finite phase of a sample."""
+    finite = np.isfinite(theta)
     if not finite.all():
-        s, b, i = (int(x) for x in np.argwhere(~finite)[0])
+        b, i = (int(x) for x in np.argwhere(~finite)[0])
         raise SimulationDiverged(
-            f"non-finite phase at t={times[s]:.3f} periods (run {b}, oscillator {i})"
+            f"non-finite phase at t={t:.3f} periods (run {b}, oscillator {i})"
         )
-    return np.array(times), thetas
 
 
 def simulate(

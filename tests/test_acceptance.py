@@ -41,7 +41,6 @@ from oscim.problems import (
     Qubo,
     brute_force_ground_states,
     brute_force_max_cut,
-    cut_value,
     energy,
     graph_to_ising,
     ising_to_qubo,

@@ -103,6 +103,15 @@ class TestSolve:
         assert rc == 1
         assert "settle_periods" in capsys.readouterr().err
 
+    def test_settle_shorter_than_one_step_exits_1(self, triangle_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = main(["solve", "--graph", triangle_file, "--runs", "2",
+                   "--settle-periods", "0.001", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "settle_periods" in err
+        assert not out.exists()
+
     def test_non_finite_noise_exits_1_before_work(self, triangle_file, monkeypatch, capsys):
         from oscim import cli
 

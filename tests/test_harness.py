@@ -128,6 +128,40 @@ class TestRunMany:
         assert a.run_results == seq.run_results
 
 
+    def test_noisy_run_draws_on_the_fine_grid(self, monkeypatch):
+        # whatever step the coupling picks, each run's generator draws its
+        # initial phases, then settle * 200 normal increments per oscillator
+        created = []
+        real_default_rng = np.random.default_rng
+
+        def recording_default_rng(seed):
+            created.append((seed, real_default_rng(seed)))
+            return created[-1][1]
+
+        g = Graph(n=5, edges=((1, 2, 1.0), (2, 3, 0.5), (3, 4, 1.0), (4, 5, 0.75), (1, 5, 1.0)))
+        m = build_machine(g, global_scale=0.2, noise_sigma=0.05)
+        assert phase_dynamics.steps_per_period_for(
+            *phase_dynamics.coupling_terms(harness.set_sync(m, True))) < 200
+        monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+        harness.phase_protocol_run(m, RunSchedule(settle_periods=3.0), harness.run_seeds(8, 3))
+        monkeypatch.undo()
+        assert len(created) == 3
+        for seed, rng in created:
+            ref = np.random.default_rng(seed)
+            ref.uniform(0.0, 2 * np.pi, 5)
+            ref.standard_normal((600, 5))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_settle_shorter_than_one_step_fails_first(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("integration started before the settle check")
+
+        monkeypatch.setattr(phase_dynamics, "_rk4", no_step)
+        m = build_machine(TRIANGLE, global_scale=0.2)
+        with pytest.raises(ValueError, match=r"settle_periods=0\.001 .*one RK4 step"):
+            run_many(TRIANGLE, m, sched=RunSchedule(settle_periods=0.001), runs=2, seed=0)
+
+
 class TestSchedule:
     @pytest.mark.parametrize("field", ["free_run_periods", "settle_periods"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -15,9 +15,12 @@ from oscim.phase_dynamics import (
     phase_derivative,
     random_initial_phases,
     simulate,
+    steps_per_period_for,
     wrap_phase,
 )
+from oscim.harness import RunSchedule, phase_protocol_run, run_seeds
 from oscim.problems import Graph
+from oscim.readout import lock_period, spins_from_phases
 
 TWO_PI = 2 * np.pi
 EDGE = Graph(n=2, edges=((1, 2, 1.0),))
@@ -110,6 +113,24 @@ class TestStep:
         m = machine_on(noise_sigma=0.1)
         with pytest.raises(ValueError, match="rng"):
             simulate(m, PhaseState(theta=np.zeros(2)), duration_periods=0.01)
+
+    def test_diverged_run_stops_at_its_first_sample(self, monkeypatch):
+        # a NaN coupling poisons the first step; the run must stop at the
+        # first stored sample (step 12 of 200 per period), not after 50 periods
+        import oscim.phase_dynamics as pd
+
+        calls = []
+        real_rk4 = pd._rk4
+
+        def counting_rk4(*args):
+            calls.append(1)
+            return real_rk4(*args)
+
+        monkeypatch.setattr(pd, "_rk4", counting_rk4)
+        K = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(SimulationDiverged, match=r"t=0\.060 periods \(run 0, oscillator 0\)"):
+            integrate_batch(np.array([[0.0, 1.0]]), K, 0.1, np.zeros(2), 50.0)
+        assert len(calls) == 12
 
     def test_divergence_names_first_bad_sample(self):
         m = machine_on()
@@ -252,3 +273,64 @@ class TestNoiseShape:
 
     def test_one_row_shared_by_the_batch(self, monkeypatch):
         self.expect_rejected(np.zeros((200, 1, 2)), monkeypatch)
+
+    def test_step_off_the_noise_grid(self, monkeypatch):
+        # 30 steps per period do not cover whole increments of the 200-grid
+        monkeypatch.setattr("oscim.phase_dynamics._rk4", None)
+        with pytest.raises(ValueError, match="steps_per_period dividing 200"):
+            integrate_batch(
+                self.theta0, self.K, self.Ks, np.zeros(2), 1.0, steps_per_period=30,
+                noise_sigma=0.05, noise=np.zeros((30, 3, 2)),
+            )
+
+
+def bench_style_graph(rng, n=20, p=0.3):
+    """Connected G(n, p) with dyadic weights in {1/4, ..., 2}."""
+    while True:
+        edges = [(u, v, float(rng.integers(1, 9) / 4.0))
+                 for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+        reach, frontier = {1}, [1]
+        while frontier:
+            x = frontier.pop()
+            for u, v, _ in edges:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in reach:
+                        reach.add(b)
+                        frontier.append(b)
+        if len(reach) == n:
+            return Graph(n=n, edges=tuple(edges))
+
+
+class TestStepRule:
+    """The protocol run's step count follows the coupling's stiffness."""
+
+    def test_sparse_weighted_graph_gets_the_coarsest_rung(self):
+        rng = np.random.default_rng(20)
+        for _ in range(4):
+            m = set_sync(build_machine(bench_style_graph(rng)), True)
+            assert steps_per_period_for(*coupling_terms(m)) == 25
+
+    def test_no_coupling_gets_the_coarsest_rung(self):
+        assert steps_per_period_for(np.zeros((3, 3)), 0.0) == 25
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_dense_graph_matches_a_finer_reference(self, scale):
+        # K_24 at these scales reads wrong spins at 25 (and, at 1.0, 50)
+        # steps per period; the rule must pick a step that agrees with 400
+        n = 24
+        k24 = Graph(n=n, edges=tuple(
+            (u, v, 1.0) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+        m = build_machine(k24, global_scale=scale)
+        seeds = run_seeds(3, 8)
+        times, thetas = phase_protocol_run(m, RunSchedule(settle_periods=10.0), seeds)
+        theta0 = np.stack([random_initial_phases(n, np.random.default_rng(s)).theta
+                           for s in seeds])
+        K, Ks = coupling_terms(set_sync(m, True))
+        ref_times, ref = integrate_batch(theta0, K, Ks, np.zeros(n), 10.0,
+                                         steps_per_period=400)
+        spins, resolved = spins_from_phases(thetas[-1])
+        ref_spins, ref_resolved = spins_from_phases(ref[-1])
+        assert np.array_equal(spins, ref_spins)
+        assert np.array_equal(resolved, ref_resolved)
+        locked = [t is not None for t in lock_period(times, thetas)]
+        assert locked == [t is not None for t in lock_period(ref_times, ref)]

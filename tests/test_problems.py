@@ -183,6 +183,22 @@ class TestBruteForce:
             g = random_graph(n, rng, p=0.6, dyadic=False)
             assert brute_force_max_cut(g) == self.full_enumeration(g)
 
+    @pytest.mark.parametrize("chunk_bits", [16, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_screen_keeps_near_ties(self, seed, chunk_bits, monkeypatch):
+        # decimal weights make many cuts tie up to rounding (0.1 + 0.2 != 0.3),
+        # where the screen's sums and the edge-order sums can rank differently;
+        # small chunks make every graph span several chunks
+        monkeypatch.setattr("oscim.problems._CHUNK_BITS", chunk_bits)
+        rng = np.random.default_rng(100 + seed)
+        for n in range(3, 10):
+            edges = tuple(
+                (u, v, float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 1.0])))
+                for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.7
+            )
+            g = Graph(n=n, edges=edges)
+            assert brute_force_max_cut(g) == self.full_enumeration(g)
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_no_edges(self, n):
         g = Graph(n=n, edges=())
