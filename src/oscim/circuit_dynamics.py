@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,29 +90,28 @@ def _make_output_solver(p: "OscParams"):
     one_plus_g = 1.0 + G
 
     def solve(c, guess):
-        u = np.clip(guess, -L, L)
-        lo, hi = -L, L
+        u = np.minimum(np.maximum(guess, -L), L)
         for it in range(_NEWTON_ITERS + 1):
             t = np.tanh((c - u) * g_over_l)
             fu = u - L * t
-            done = np.abs(fu) < _RESIDUAL_TOL
-            if done.all():
+            err = np.abs(fu)
+            if np.maximum.reduce(err, axis=None) < _RESIDUAL_TOL:  # False on NaN
                 return u
-            above = fu > 0
-            hi = np.where(above, u, hi)
-            lo = np.where(above, lo, u)
             if it == _NEWTON_ITERS:
                 break
-            # converged elements take a zero step, so they stay put; a step
-            # leaving the bracket falls back to its midpoint, a NaN step stays NaN
-            un = u - np.where(done, 0.0, fu) / (one_plus_g - G * t * t)
-            u = np.where((un < lo) | (un > hi), 0.5 * (lo + hi), un)
+            # converged elements take a zero step, so they stay put; the step
+            # is a convex combination of u and L*t, so it never leaves [-L, L]
+            u = u - np.where(err < _RESIDUAL_TOL, 0.0, fu) / (one_plus_g - G * t * t)
+        # bisection on [-L, L] for the elements Newton left unconverged; the
+        # brackets start as 0*fu +- L so a NaN residual carries into the result
+        hi = 0.0 * fu + L
+        lo = hi - 2.0 * L
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             above = mid - L * np.tanh((c - mid) * g_over_l) > 0
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
-        return np.where(done, u, 0.5 * (lo + hi))
+        return np.where(err < _RESIDUAL_TOL, u, 0.5 * (lo + hi))
 
     return solve
 
@@ -188,34 +188,30 @@ def _integrate_network(
                            axis=-1)
     dt = 1.0 / (f0 * DEFAULT_STEPS_PER_PERIOD)
     n_steps = int(round(duration_s * f0 * DEFAULT_STEPS_PER_PERIOD))
-    inv_rc = 1.0 / (p.rc * np.asarray(rc_scale))
-    tau_s_inv = SUMMER_RATIO / p.rc
+    # per-column rates: 1/(RC) on the capacitors, the summer corner on s
+    rate = np.empty(state.shape)
+    rate[..., :3] = (1.0 / (p.rc * np.asarray(rc_scale)))[..., None]
+    rate[..., 3] = SUMMER_RATIO / p.rc
     g = p.sync_gain
     shil_w = TWO_PI * 2.0 * f0
     solver = _make_output_solver(p)
     one_plus_g = 1.0 + p.gain
     curv = p.gain / (p.sat_level * p.sat_level)
 
-    def f(st, tt, u_p, c_p):
-        q1 = st[..., 0]
-        q2 = st[..., 1]
-        q3 = st[..., 2]
+    def f(st, tt, u_p, c_p, d):
+        """Write d(state)/dt at (st, tt) into d; returns the output root (u, c)."""
+        cq = np.add.accumulate(st[..., :3], axis=-1)  # (q1, q1 + q2, Q)
         s = st[..., 3]
-        Q = q1 + q2 + q3
-        c = Q - g * s if sync_on else Q
+        c = cq[..., 2] - g * s if sync_on else cq[..., 2]
         # predicted warm start u_p + k*(c - c_p), k = 1 - 1/(1 + G*(1-(u_p/L)^2))
         dc = c - c_p
         u = solver(c, u_p + dc - dc / (one_plus_g - curv * (u_p * u_p)))
-        v3 = u - Q
-        v2 = v3 + q3
-        v1 = v2 + q2
-        d = np.empty_like(st)
-        d[..., 0] = (v1 + v2 + v3) * inv_rc
-        d[..., 1] = (v2 + v3) * inv_rc
-        d[..., 2] = v3 * inv_rc
-        summed = (W * u[..., None, :]).sum(axis=-1)
-        d[..., 3] = ((summed + shil_volts * np.sin(shil_w * tt)) - s) * tau_s_inv
-        return d, u, c
+        # v = u - cq = (v1, v2, v3); its running sums from v3 are RC*(dq3, dq2, dq1)
+        np.add.accumulate((u[..., None] - cq)[..., ::-1], axis=-1, out=d[..., 2::-1])
+        summed = np.add.reduce(W * u[..., None, :], axis=-1)
+        np.subtract(summed + shil_volts * math.sin(shil_w * tt), s, out=d[..., 3])
+        np.multiply(d, rate, out=d)
+        return u, c
 
     n_samples = n_steps // sample_stride
     times = sample_stride * np.arange(1, n_samples + 1) * dt
@@ -237,20 +233,21 @@ def _integrate_network(
     # previous root); only a sample on the last step needs a solve of its own.
     # (u, c) = (0, 0) is a root, so it seeds the first prediction.
     up = cp = np.zeros(state.shape[:-1])
+    k1, k2, k3, k4 = (np.empty(state.shape) for _ in range(4))
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(n_steps):
         t = k * dt
-        k1, u1, c1 = f(state, t, up, cp)
+        u1, c1 = f(state, t, up, cp, k1)
         if k and k % sample_stride == 0:
             store(k // sample_stride - 1, u1, state)
-        k2, u2, c2 = f(state + half * k1, t + half, u1, c1)
-        k3, u3, c3 = f(state + half * k2, t + half, u2, c2)
-        k4, up, cp = f(state + dt * k3, t + dt, u3, c3)
+        u2, c2 = f(state + half * k1, t + half, u1, c1, k2)
+        u3, c3 = f(state + half * k2, t + half, u2, c2, k3)
+        up, cp = f(state + dt * k3, t + dt, u3, c3, k4)
         state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
     t = n_steps * dt
     if n_steps and n_steps % sample_stride == 0:
-        store(n_samples - 1, f(state, t, up, cp)[1], state)
+        store(n_samples - 1, f(state, t, up, cp, k1)[0], state)
     if not np.isfinite(state).all():
         raise SimulationDiverged(f"non-finite circuit state at t={t:.6e} s")
     if record_states:

@@ -200,15 +200,17 @@ def integrate_batch(
     noise_sigma * sqrt(1/DEFAULT_STEPS_PER_PERIOD) * noise[k]: each entry is
     the sum of the standard normal increments on the DEFAULT_STEPS_PER_PERIOD
     grid that the step covers, so steps_per_period must divide that grid.
-    Bad noise raises ValueError before the first step.  A non-finite sample
-    raises SimulationDiverged as soon as it is stored.
+    A duration shorter than one step, or bad noise, raises ValueError before
+    the first step.  A non-finite sample raises SimulationDiverged as soon
+    as it is stored.
 
     The per-run arithmetic is identical whatever the batch size, so runs
     executed together or one at a time produce bit-identical trajectories.
     """
-    if duration_periods <= 0:
-        raise ValueError("duration must be positive")
     n_steps = int(round(duration_periods * steps_per_period))
+    if n_steps < 1:
+        raise ValueError(f"duration_periods={duration_periods:g} is shorter than "
+                         f"one RK4 step (1/{steps_per_period} period)")
     theta = np.array(theta0, dtype=float)
     if noise_sigma > 0.0:
         if DEFAULT_STEPS_PER_PERIOD % steps_per_period:

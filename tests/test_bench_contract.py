@@ -52,3 +52,40 @@ def test_traced_phase_solve_records_every_layer(tracer, tmp_path, monkeypatch):
                  "spins_from_phases", "document_bytes"):
         assert name in names, name
     assert not hasattr(cli.main, "__wrapped__")  # the tracer uninstalled itself
+
+
+def test_circuit_step_count_matches_the_integrator(tracer, monkeypatch):
+    # the tracer reads DEFAULT_STEPS_PER_PERIOD to count a circuit batch's
+    # RK4 steps; each step makes four output solves, and the settle interval
+    # ends on a sample, which takes one solve of its own
+    from oscim import circuit_dynamics
+    from oscim.harness import RunSchedule, run_seeds
+    from oscim.machine import build_machine
+    from oscim.problems import Graph
+
+    assert isinstance(circuit_dynamics.DEFAULT_STEPS_PER_PERIOD, int)
+    m = build_machine(Graph(n=2, edges=((1, 2, 1.0),)), global_scale=0.2)
+    # calibration and the limit-cycle table integrate too: build them uncounted
+    circuit_dynamics._limit_cycle_states(circuit_dynamics.calibrated_params(m.f0), m.f0)
+    calls = []
+    real = circuit_dynamics._make_output_solver
+
+    def counting(p):
+        solve = real(p)
+
+        def wrapped(c, guess):
+            calls.append(1)
+            return solve(c, guess)
+
+        return wrapped
+
+    monkeypatch.setattr(circuit_dynamics, "_make_output_solver", counting)
+    # 1.0025 free periods are 401 steps, which do not end on a sample
+    sched = RunSchedule(free_run_periods=1.0025, settle_periods=5.0)
+    seeds = run_seeds(3, 2)
+    circuit_dynamics.run_readout_batch(m, sched, seeds)
+    bound = inspect.signature(circuit_dynamics.run_readout_batch).bind(m, sched, seeds)
+    run_steps, steps = tracer._run_readout_batch_work(bound)
+    assert steps == 401 + 2000
+    assert divmod(len(calls), 4) == (steps, 1)
+    assert run_steps == len(seeds) * steps

@@ -152,6 +152,89 @@ class TestDivergence:
             )
 
 
+def reference_rk4_step(state, W, shil_volts, p, rc_scale, f0, solve):
+    """One RK4 step written out from the module docstring's ladder equations.
+
+    state is (B, n, 4) = (q1, q2, q3, s) with sync on; each stage's output is
+    solved from zero, not from the integrator's predicted warm start.
+    """
+    rc = p.rc * rc_scale
+
+    def derivative(st, t):
+        q1, q2, q3, s = (st[..., k] for k in range(4))
+        u = solve(q1 + q2 + q3 - p.sync_gain * s, np.zeros(q1.shape))
+        v1 = u - q1
+        v2 = v1 - q2
+        v3 = v2 - q3
+        coupled = np.einsum("ij,bj->bi", W, u)
+        drive = shil_volts * np.sin(TWO_PI * 2.0 * f0 * t)
+        return np.stack([
+            (v1 + v2 + v3) / rc,
+            (v2 + v3) / rc,
+            v3 / rc,
+            (coupled + drive - s) * circuit_dynamics.SUMMER_RATIO / p.rc,
+        ], axis=-1)
+
+    dt = 1.0 / (f0 * circuit_dynamics.DEFAULT_STEPS_PER_PERIOD)
+    k1 = derivative(state, 0.0)
+    k2 = derivative(state + 0.5 * dt * k1, 0.5 * dt)
+    k3 = derivative(state + 0.5 * dt * k2, 0.5 * dt)
+    k4 = derivative(state + dt * k3, dt)
+    return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestFusedStage:
+    def test_one_step_equals_the_ladder_equations(self):
+        # sync on, coupling, SHIL and a distinct RC per oscillator and run, so a
+        # derivative landing on the wrong capacitor or scaled by the wrong
+        # oscillator's RC moves the state by millivolts, not 1e-12 V
+        p = OscParams()
+        rng = np.random.default_rng(21)
+        q0 = rng.normal(0.0, 1.0, (2, 3, 3))
+        s0 = rng.normal(0.0, 0.3, (2, 3))
+        W = np.array([[0.0, 0.3, -0.2], [0.3, 0.0, 0.25], [-0.2, 0.25, 0.0]])
+        rc_scale = np.array([[0.9, 1.0, 1.12], [1.05, 0.95, 1.2]])
+        shil = 0.25 * p.sat_level
+        dt = 1.0 / (F0 * circuit_dynamics.DEFAULT_STEPS_PER_PERIOD)
+        _, _, end = _integrate_network(q0, s0, W, shil, True, p, rc_scale, dt, 1, F0)
+        ref = reference_rk4_step(np.concatenate([q0, s0[..., None]], axis=-1),
+                                 W, shil, p, rc_scale, F0, _make_output_solver(p))
+        assert np.abs(end - ref).max() < 1e-12
+
+
+class TestPinnedTrajectory:
+    # settle outputs (V) of _protocol_run on the criterion-9 triangle,
+    # run_seeds(712, 4), 5 free + 15 settle periods, at samples 0, 499, 999
+    # and 1499 of 1500; rows are runs, columns oscillators.  Detector values
+    # saturate at +-1, so these voltages are the sharp check on the kernel.
+    PINNED = {
+        0: [[0.268278197091, 0.176517389246, -0.648304120564],
+            [1.540844798501, 1.542469276933, 1.031065947609],
+            [1.107035663759, 1.127273111349, -0.291325965951],
+            [1.796266465245, -1.925338505563, 0.355303932855]],
+        499: [[0.995668756763, -1.134437924731, 1.004214180191],
+              [0.180211546181, -0.928782304627, 1.382376659880],
+              [1.448824097781, -1.060401137304, 0.553802804485],
+              [1.242064357115, 0.553051755537, -1.082604025486]],
+        999: [[0.797821655337, -1.311031548201, 1.682193778361],
+              [-0.626703994842, 0.499763563336, 1.575195463777],
+              [1.279274902111, -1.719455767194, 1.521756190861],
+              [0.467315187011, 1.473204885732, -1.730776711677]],
+        1499: [[0.337710156103, -0.614593334949, 1.962044082944],
+               [-0.843982795481, 1.058083376793, 0.626215256705],
+               [0.816912638835, -1.111968251236, 2.139348047726],
+               [-0.386359800785, 2.161341425239, -2.059227580569]],
+    }
+
+    def test_settle_outputs_match_pinned_values(self, params):
+        m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
+        sched = RunSchedule(free_run_periods=5.0, settle_periods=15.0)
+        _, _, _, u_on = _protocol_run(m, sched, run_seeds(712, 4))
+        assert u_on.shape == (1500, 4, 3)
+        for i, values in self.PINNED.items():
+            assert np.allclose(u_on[i], values, rtol=0.0, atol=1e-9), i
+
+
 class TestFrequencyMeasurement:
     def test_synthetic_sine(self):
         t = np.arange(0, 30 / F0, 1 / (F0 * 400))

@@ -114,6 +114,23 @@ class TestStep:
         with pytest.raises(ValueError, match="rng"):
             simulate(m, PhaseState(theta=np.zeros(2)), duration_periods=0.01)
 
+    def test_duration_shorter_than_one_step_rejected(self):
+        # 0.001 periods round to zero steps at 200 per period; the call used
+        # to return the initial sample alone, unintegrated
+        m = machine_on()
+        K, Ks = coupling_terms(m)
+        with pytest.raises(ValueError, match=r"duration_periods=0\.001 is shorter "
+                                             r"than one RK4 step \(1/200 period\)"):
+            integrate_batch(np.array([[0.1, 0.2]]), K, Ks, np.zeros(2), 0.001)
+        with pytest.raises(ValueError, match=r"\(1/100 period\)"):
+            integrate_batch(np.array([[0.1, 0.2]]), K, Ks, np.zeros(2), 0.004,
+                            steps_per_period=100)
+
+    def test_simulate_shorter_than_one_step_rejected(self):
+        with pytest.raises(ValueError, match=r"duration_periods=0\.001 is shorter "
+                                             r"than one RK4 step"):
+            simulate(machine_on(), PhaseState(theta=[0.1, 0.2]), duration_periods=0.001)
+
     def test_diverged_run_stops_at_its_first_sample(self, monkeypatch):
         # a NaN coupling poisons the first step; the run must stop at the
         # first stored sample (step 12 of 200 per period), not after 50 periods
