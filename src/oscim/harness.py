@@ -10,6 +10,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,58 @@ def _run_results(g: Graph, optimum: float, spins, resolved, locks) -> list[RunRe
     return results
 
 
+# A seed's phase noise is one Brownian path, drawn coarse-to-fine by Levy's
+# construction: first one increment per 1/25-period step (8 units of the
+# DEFAULT_STEPS_PER_PERIOD grid, so variance 8), then, per halving, each
+# increment w splits into w/2 + sd*Z and w/2 - sd*Z.  Given w, a half has
+# standard deviation sqrt(2), 1 and 1/sqrt(2) at the halvings into 4, 2 and
+# 1 grid units.
+_BRIDGE_STEPS_PER_PERIOD = 25
+_BRIDGE_SDS = (np.sqrt(2.0), 1.0, np.sqrt(0.5))
+
+
+def _brownian_increments(rngs, n_steps: int, spp: int, n: int) -> np.ndarray:
+    """Noise for ``integrate_batch``, (n_steps, B, n): run b's path from rngs[b].
+
+    Each generator draws the 1/25-period increments, then one block of
+    normals per halving, stopping at the first grid (25, 50, 100 or 200 per
+    period) that spp divides; a step sums the increments it covers (5 at
+    spp = 40).  A settle that ends inside a 1/25-period step draws the whole
+    step and drops the rest.  Entries are in units of the
+    DEFAULT_STEPS_PER_PERIOD grid, and a run's sums agree whatever spp.
+    """
+    finest = math.lcm(_BRIDGE_STEPS_PER_PERIOD, spp)  # 25 * 2**levels
+    levels = (finest // _BRIDGE_STEPS_PER_PERIOD).bit_length() - 1
+    group = finest // spp
+    coarse = -(-(n_steps * group) >> levels)  # 1/25-period steps, rounded up
+    rows = coarse << levels
+    noise = np.empty((n_steps, len(rngs), n))
+    # The finest level goes straight into noise when it is the noise; else
+    # into scratch reused by every run, which also holds one level's normals
+    # and the path's two latest levels.
+    direct = rows == n_steps
+    z = np.empty((rows >> 1, n))
+    paths = np.empty((2, rows, n))
+    for b, rng in enumerate(rngs):
+        path = noise[:, b] if direct else paths[levels % 2]
+        w = paths[0, :coarse]
+        rng.standard_normal(w.shape, out=w)
+        np.multiply(w, np.sqrt(8.0), out=w if levels else path)
+        for level, sd in enumerate(_BRIDGE_SDS[:levels], 1):
+            dev = z[:len(w)]
+            rng.standard_normal(dev.shape, out=dev)
+            dev *= sd
+            w *= 0.5
+            halves = path if level == levels else paths[level % 2, :2 * len(w)]
+            np.add(w, dev, out=halves[0::2])
+            np.subtract(w, dev, out=halves[1::2])
+            w = halves
+        if not direct:
+            steps = path[:n_steps * group].reshape(n_steps, group, n)
+            np.einsum("kgi->ki", steps, out=noise[:, b])
+    return noise
+
+
 def phase_protocol_run(
     m: MachineConfig,
     sched: RunSchedule,
@@ -159,10 +212,13 @@ def phase_protocol_run(
 
     The step count per period comes from the coupling
     (``phase_dynamics.steps_per_period_for``).  Each run's generator draws its
-    initial phases, then its noise on the DEFAULT_STEPS_PER_PERIOD grid,
-    which is summed into the coarse steps, so a seed gives one Brownian path
-    whatever the step.  All runs share one integration loop, which keeps
-    run b identical to a batch of seeds[b] alone.
+    initial phases, then, with noise, its Brownian path coarse-to-fine
+    (``_brownian_increments``): the 1/25-period increments first, then one
+    halving level at a time, only as far as the step needs.  A seed so keeps
+    one path whatever the step; a step's noise is the sum of that path's
+    increments on the DEFAULT_STEPS_PER_PERIOD grid that the step covers.
+    All runs share one integration loop, which keeps run b identical to a
+    batch of seeds[b] alone.
     """
     n = m.n
     K, Ks = phase.coupling_terms(set_sync(m, True))
@@ -177,11 +233,7 @@ def phase_protocol_run(
     theta0 = np.stack([phase.random_initial_phases(n, r).theta for r in rngs])
     noise = None
     if m.noise_sigma > 0:
-        fine = phase.DEFAULT_STEPS_PER_PERIOD // spp
-        noise = np.stack([
-            r.standard_normal((n_steps * fine, n)).reshape(n_steps, fine, n).sum(axis=1)
-            for r in rngs
-        ], axis=1)
+        noise = _brownian_increments(rngs, n_steps, spp, n)
     return phase.integrate_batch(
         theta0, K, Ks, np.asarray(m.detuning), sched.settle_periods,
         steps_per_period=spp, noise_sigma=m.noise_sigma, noise=noise,

@@ -89,8 +89,7 @@ class TestSolver:
         u = _make_output_solver(p)(c, guess)
         sat_level = p.sat_level
         x = p.gain * (c - u)
-        res = u - np.where(x >= 0, sat_level * np.tanh(x / sat_level),
-                           sat_level * np.tanh(x / sat_level))
+        res = u - sat_level * np.tanh(x / sat_level)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_batch_equals_elementwise(self):

@@ -16,6 +16,42 @@ from oscim.problems import Graph
 
 EDGE = Graph(n=2, edges=((1, 2, 1.0),))
 TRIANGLE = Graph(n=3, edges=((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)))
+K24 = Graph(n=24, edges=tuple((u, v, 1.0) for u in range(1, 25) for v in range(u + 1, 25)))
+K8 = Graph(n=8, edges=tuple((u, v, 1.0) for u in range(1, 9) for v in range(u + 1, 9)))
+# global scales at which a protocol run takes 25, 40 and 200 steps per period
+K24_RUNG_SCALES = {25: 0.05, 40: 0.1, 200: 0.5}
+K8_RUNG_SCALES = {25: 0.2, 40: 0.3, 200: 1.5}
+
+
+def protocol_steps_per_period(m):
+    return phase_dynamics.steps_per_period_for(
+        *phase_dynamics.coupling_terms(harness.set_sync(m, True)))
+
+
+def record_noise(monkeypatch, integrate=True):
+    """List that collects the noise each integrate_batch call is given.
+
+    With integrate=False the integration itself is skipped.
+    """
+    recorded = []
+    real = phase_dynamics.integrate_batch
+
+    def recording(*args, noise=None, **kwargs):
+        recorded.append(noise)
+        return real(*args, noise=noise, **kwargs) if integrate else None
+
+    monkeypatch.setattr(phase_dynamics, "integrate_batch", recording)
+    return recorded
+
+
+def k24_noise(spp, settle, seeds, monkeypatch):
+    """Noise a K24 protocol run at the given rung passes to integrate_batch."""
+    m = build_machine(K24, global_scale=K24_RUNG_SCALES[spp], noise_sigma=0.05)
+    assert protocol_steps_per_period(m) == spp
+    recorded = record_noise(monkeypatch, integrate=False)
+    harness.phase_protocol_run(m, RunSchedule(settle_periods=settle), seeds)
+    monkeypatch.undo()
+    return recorded[0]
 
 
 def one_run(g, m, seed):
@@ -127,10 +163,11 @@ class TestRunMany:
         seq = run_many(EDGE, m, runs=4, seed=13, parallel=False)
         assert a.run_results == seq.run_results
 
-
-    def test_noisy_run_draws_on_the_fine_grid(self, monkeypatch):
-        # whatever step the coupling picks, each run's generator draws its
-        # initial phases, then settle * 200 normal increments per oscillator
+    @pytest.mark.parametrize("spp, levels", [(25, 0), (40, 3), (200, 3)])
+    def test_noisy_run_draw_budget(self, spp, levels, monkeypatch):
+        # each run's generator draws its initial phases, then settle * 25
+        # coarse normals per oscillator, then one block per halving level:
+        # no fine-grid draws at the 25-step rung
         created = []
         real_default_rng = np.random.default_rng
 
@@ -138,18 +175,19 @@ class TestRunMany:
             created.append((seed, real_default_rng(seed)))
             return created[-1][1]
 
-        g = Graph(n=5, edges=((1, 2, 1.0), (2, 3, 0.5), (3, 4, 1.0), (4, 5, 0.75), (1, 5, 1.0)))
-        m = build_machine(g, global_scale=0.2, noise_sigma=0.05)
-        assert phase_dynamics.steps_per_period_for(
-            *phase_dynamics.coupling_terms(harness.set_sync(m, True))) < 200
+        m = build_machine(K24, global_scale=K24_RUNG_SCALES[spp], noise_sigma=0.05)
+        assert protocol_steps_per_period(m) == spp
+        record_noise(monkeypatch, integrate=False)
         monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
         harness.phase_protocol_run(m, RunSchedule(settle_periods=3.0), harness.run_seeds(8, 3))
         monkeypatch.undo()
         assert len(created) == 3
         for seed, rng in created:
             ref = np.random.default_rng(seed)
-            ref.uniform(0.0, 2 * np.pi, 5)
-            ref.standard_normal((600, 5))
+            ref.uniform(0.0, 2 * np.pi, 24)
+            ref.standard_normal((75, 24))
+            for level in range(levels):
+                ref.standard_normal((75 << level, 24))
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_settle_shorter_than_one_step_fails_first(self, monkeypatch):
@@ -160,6 +198,47 @@ class TestRunMany:
         m = build_machine(TRIANGLE, global_scale=0.2)
         with pytest.raises(ValueError, match=r"settle_periods=0\.001 .*one RK4 step"):
             run_many(TRIANGLE, m, sched=RunSchedule(settle_periods=0.001), runs=2, seed=0)
+
+
+class TestNoisePath:
+    """A seed's noise is one Brownian path, drawn coarse-to-fine."""
+
+    @pytest.mark.parametrize("settle", [15.0, 15.02])
+    @pytest.mark.parametrize("spp", [25, 40])
+    def test_coarse_rungs_sum_the_fine_path(self, spp, settle, monkeypatch):
+        seeds = harness.run_seeds(31, 4)
+        coarse = k24_noise(spp, settle, seeds, monkeypatch)
+        fine = k24_noise(200, settle, seeds, monkeypatch)
+        group = 200 // spp
+        whole = fine.shape[0] // group  # coarse steps the 200-step run covers
+        assert coarse.shape[0] in (whole, whole + 1)
+        sums = fine[:whole * group].reshape(whole, group, *fine.shape[1:]).sum(axis=1)
+        np.testing.assert_allclose(coarse[:whole], sums, rtol=0, atol=1e-12)
+
+    def test_variance_per_level(self, monkeypatch):
+        # increments on the 25/50/100/200 grids have variance 8/4/2/1 grid
+        # units, and neighbours are uncorrelated
+        fine = k24_noise(200, 15.0, harness.run_seeds(5, 8), monkeypatch)
+        for group in (8, 4, 2, 1):
+            x = fine.reshape(-1, group, *fine.shape[1:]).sum(axis=1) / np.sqrt(group)
+            count = x.size
+            assert abs(x.var() - 1.0) < 5 * np.sqrt(2.0 / (count - 1))
+            lag1 = np.corrcoef(x[:-1].ravel(), x[1:].ravel())[0, 1]
+            assert abs(lag1) < 5 / np.sqrt(count)
+
+    @pytest.mark.parametrize("settle", [15.0, 15.02])
+    @pytest.mark.parametrize("spp", [25, 40, 200])
+    def test_batched_equals_sequential(self, spp, settle, monkeypatch):
+        m = build_machine(K8, global_scale=K8_RUNG_SCALES[spp], noise_sigma=0.05)
+        assert protocol_steps_per_period(m) == spp
+        sched = RunSchedule(settle_periods=settle)
+        recorded = record_noise(monkeypatch)
+        par = run_many(K8, m, sched=sched, runs=3, seed=19, parallel=True)
+        seq = run_many(K8, m, sched=sched, runs=3, seed=19, parallel=False)
+        assert par.run_results == seq.run_results
+        batched, *alone = recorded
+        for b, noise in enumerate(alone):
+            assert np.array_equal(batched[:, b:b + 1], noise)
 
 
 class TestSchedule:
