@@ -9,7 +9,7 @@ degenerate optima are typically not hit equally often).
 import numpy as np
 
 from oscim import Graph, build_machine
-from oscim.harness import RunSchedule, optimal_bitstrings, oracle_max_cut, run_many
+from oscim.harness import RunSchedule, oracle_max_cut, run_many
 
 rng = np.random.default_rng(7)
 edges = []
@@ -19,9 +19,9 @@ for u in range(1, 9):
             edges.append((u, v, 1.0))
 graph = Graph(n=8, edges=tuple(edges))
 
-optimum, _ = oracle_max_cut(graph)
+optimum, optimal = oracle_max_cut(graph)
 print(f"instance: n=8, |E|={len(graph.edges)}, brute-force optimum {optimum:.0f}")
-print(f"optimal partitions (normalized): {optimal_bitstrings(graph)}")
+print(f"optimal partitions (normalized): {optimal}")
 
 machine = build_machine(graph, global_scale=0.3)
 stats = run_many(
@@ -35,5 +35,5 @@ print(f"mean lock period    {stats.mean_lock_period:.2f} periods")
 print(f"unresolved spins    {stats.unresolved_rate:.1%}")
 print("\nhistogram (top 8):")
 for bits, count in sorted(stats.histogram.items(), key=lambda kv: -kv[1])[:8]:
-    cut = "optimal" if bits in optimal_bitstrings(graph) else "       "
+    cut = "optimal" if bits in optimal else "       "
     print(f"  {bits}  {count:3d}  {cut}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import readout
-from .errors import SimulationDiverged
+from .errors import check_finite
 from .machine import MachineConfig, effective_weights
 
 TWO_PI = 2.0 * np.pi
@@ -219,12 +219,7 @@ def _integrate_network(
     states = np.empty((n_samples,) + state.shape) if record_states else None
 
     def store(i, u, st):
-        bad = ~np.isfinite(u)
-        if bad.any():
-            *run, osc = (int(x) for x in np.argwhere(bad)[0])
-            where = (f"run {run[0]}, " if run else "") + f"oscillator {osc}"
-            raise SimulationDiverged(
-                f"non-finite circuit output at t={times[i]:.6e} s ({where})")
+        check_finite(u, "circuit output at t={t:.6e} s", times[i])
         outputs[i] = u
         if record_states:
             states[i] = st
@@ -248,8 +243,8 @@ def _integrate_network(
     t = n_steps * dt
     if n_steps and n_steps % sample_stride == 0:
         store(n_samples - 1, f(state, t, up, cp, k1)[0], state)
-    if not np.isfinite(state).all():
-        raise SimulationDiverged(f"non-finite circuit state at t={t:.6e} s")
+    # NaN and +-inf in any of an oscillator's four states both show in the max
+    check_finite(np.abs(state).max(axis=-1), "circuit state at t={t:.6e} s", t)
     if record_states:
         return times, outputs, state, states
     return times, outputs, state

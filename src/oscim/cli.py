@@ -28,7 +28,6 @@ from .formats import (
 from .harness import (
     RunSchedule,
     best_operating_point,
-    optimal_bitstrings,
     oracle_max_cut,
     phase_protocol_run,
     run_many,
@@ -107,20 +106,17 @@ def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     m = _machine_for(args, g)
     sched = _schedule_for(args)
-    optimum, _ = oracle_max_cut(g)
+    optimum, optimal = oracle_max_cut(g)
     stats = run_many(
         g, m, backend=args.backend, sched=sched, runs=args.runs,
         seed=args.seed, parallel=not args.sequential,
     )
-    per_opt = {
-        bits: stats.histogram.get(bits, 0) / stats.runs
-        for bits in optimal_bitstrings(g)
-    }
+    per_opt = {bits: stats.histogram.get(bits, 0) / stats.runs for bits in optimal}
     doc = {
         "command": "solve",
         "oracle": {
             "optimum": optimum,
-            "optimal_bitstrings": list(optimal_bitstrings(g)),
+            "optimal_bitstrings": list(optimal),
         },
         "histogram": dict(sorted(stats.histogram.items())),
         "success_rate": stats.success_rate,
@@ -153,8 +149,8 @@ def _write_trace(args, m, sched) -> None:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    optimum, _ = oracle_max_cut(g)
-    lines = [_fmt_num(optimum)] + list(optimal_bitstrings(g))
+    optimum, optimal = oracle_max_cut(g)
+    lines = [_fmt_num(optimum), *optimal]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

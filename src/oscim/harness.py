@@ -10,6 +10,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,29 +105,20 @@ class SweepPoint:
     unresolved_rate: float
 
 
-_ORACLE_CACHE: dict[tuple, tuple[float, frozenset]] = {}
-
-
-def oracle_max_cut(g: Graph) -> tuple[float, frozenset]:
-    """Brute-force optimum and maximizer set, cached per graph."""
-    key = (g.n, g.edges)
-    if key not in _ORACLE_CACHE:
-        opt, configs = brute_force_max_cut(g)
-        _ORACLE_CACHE[key] = (opt, frozenset(configs))
-    return _ORACLE_CACHE[key]
-
-
 def _bitstring(spins) -> str:
     """'0' for spin +1, '1' for spin -1; leftmost is the reference."""
     return "".join("0" if x > 0 else "1" for x in spins)
 
 
-def optimal_bitstrings(g: Graph) -> tuple[str, ...]:
-    """Reference-normalized bitstrings of every max-cut maximizer, sorted."""
-    # the maximizer set is closed under global flip: keep the half whose
-    # reference spin is +1
-    _, configs = oracle_max_cut(g)
-    return tuple(sorted(_bitstring(cfg) for cfg in configs if cfg[0] > 0))
+@functools.lru_cache(maxsize=1)
+def oracle_max_cut(g: Graph) -> tuple[float, tuple[str, ...]]:
+    """Brute-force optimum and the sorted bitstrings of its maximizers.
+
+    The maximizer set is closed under global flip, so only the
+    reference-normalized half is kept.  The last graph's answer is cached.
+    """
+    optimum, configs = brute_force_max_cut(g)
+    return optimum, tuple(sorted(_bitstring(cfg) for cfg in configs if cfg[0] > 0))
 
 
 def run_seeds(master_seed, runs: int) -> list[np.random.SeedSequence]:
@@ -162,7 +154,7 @@ _BRIDGE_SDS = (np.sqrt(2.0), 1.0, np.sqrt(0.5))
 
 
 def _brownian_increments(rngs, n_steps: int, spp: int, n: int) -> np.ndarray:
-    """Noise for ``integrate_batch``, (n_steps, B, n): run b's path from rngs[b].
+    """Brownian increments per step, (n_steps, B, n): run b's path from rngs[b].
 
     Each generator draws the 1/25-period increments, then one block of
     normals per halving, stopping at the first grid (25, 50, 100 or 200 per
@@ -216,7 +208,8 @@ def phase_protocol_run(
     (``_brownian_increments``): the 1/25-period increments first, then one
     halving level at a time, only as far as the step needs.  A seed so keeps
     one path whatever the step; a step's noise is the sum of that path's
-    increments on the DEFAULT_STEPS_PER_PERIOD grid that the step covers.
+    increments on the DEFAULT_STEPS_PER_PERIOD grid that the step covers,
+    times noise_sigma * sqrt(1/DEFAULT_STEPS_PER_PERIOD).
     All runs share one integration loop, which keeps run b identical to a
     batch of seeds[b] alone.
     """
@@ -234,9 +227,10 @@ def phase_protocol_run(
     noise = None
     if m.noise_sigma > 0:
         noise = _brownian_increments(rngs, n_steps, spp, n)
+        noise *= m.noise_sigma * np.sqrt(1.0 / phase.DEFAULT_STEPS_PER_PERIOD)
     return phase.integrate_batch(
         theta0, K, Ks, np.asarray(m.detuning), sched.settle_periods,
-        steps_per_period=spp, noise_sigma=m.noise_sigma, noise=noise,
+        steps_per_period=spp, noise=noise,
     )
 
 

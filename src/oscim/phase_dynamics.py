@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationDiverged
+from .errors import check_finite
 from .machine import MachineConfig, effective_weights, resolve_shil_strength
 
 TWO_PI = 2.0 * np.pi
@@ -58,6 +58,8 @@ SAMPLES_PER_PERIOD = 16.0
 # so a coarse step's noise is a sum of whole fine-grid increments and a
 # seeded run keeps one Brownian path whatever its step.
 STEP_RUNGS = (25, 40, 50, 100, 200)
+
+_DIVERGED = "phase at t={t:.3f} periods"
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,6 @@ def integrate_batch(
     delta,
     duration_periods: float,
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-    noise_sigma: float = 0.0,
     noise: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over a batch of independent runs.
@@ -196,13 +197,10 @@ def integrate_batch(
     theta0 has shape (B, n); K is (n, n) or (B, n, n); Ks and delta
     broadcast against (B, n).  Returns (times (S,), thetas (S, B, n)) with
     the initial sample included and SAMPLES_PER_PERIOD samples per period.
-    When noise_sigma > 0, ``noise`` has shape (steps, B, n) and step k adds
-    noise_sigma * sqrt(1/DEFAULT_STEPS_PER_PERIOD) * noise[k]: each entry is
-    the sum of the standard normal increments on the DEFAULT_STEPS_PER_PERIOD
-    grid that the step covers, so steps_per_period must divide that grid.
-    A duration shorter than one step, or bad noise, raises ValueError before
-    the first step.  A non-finite sample raises SimulationDiverged as soon
-    as it is stored.
+    ``noise``, if given, has shape (steps, B, n): phase increments in
+    radians, noise[k] added after RK4 step k.  A duration shorter than one
+    step, or misshapen noise, raises ValueError before the first step.  A
+    non-finite sample raises SimulationDiverged as soon as it is stored.
 
     The per-run arithmetic is identical whatever the batch size, so runs
     executed together or one at a time produce bit-identical trajectories.
@@ -212,74 +210,40 @@ def integrate_batch(
         raise ValueError(f"duration_periods={duration_periods:g} is shorter than "
                          f"one RK4 step (1/{steps_per_period} period)")
     theta = np.array(theta0, dtype=float)
-    if noise_sigma > 0.0:
-        if DEFAULT_STEPS_PER_PERIOD % steps_per_period:
-            raise ValueError(
-                f"noisy runs need steps_per_period dividing {DEFAULT_STEPS_PER_PERIOD}, "
-                f"got {steps_per_period}"
-            )
-        want = (n_steps,) + theta.shape
-        got = None if noise is None else np.shape(noise)
-        if got != want:
-            raise ValueError(f"noise must have shape (steps, B, n) = {want}, got {got}")
+    want = (n_steps,) + theta.shape
+    if noise is not None and np.shape(noise) != want:
+        raise ValueError(f"noise must have shape (steps, B, n) = {want}, got {np.shape(noise)}")
     # exact sample count: duration * SAMPLES_PER_PERIOD, spread uniformly over steps
     n_samples = max(1, int(round(duration_periods * SAMPLES_PER_PERIOD)))
     sample_at = np.zeros(n_steps + 1, dtype=bool)
     sample_at[np.round(np.arange(1, n_samples + 1) * n_steps / n_samples).astype(int)] = True
     sample_at[n_steps] = True
-    noise_scale = noise_sigma * np.sqrt(1.0 / DEFAULT_STEPS_PER_PERIOD)
     dt = 1.0 / steps_per_period
-    _check_finite(theta, 0.0)
+    check_finite(theta, _DIVERGED, 0.0)
     times = [0.0]
     samples = [theta.copy()]
     for k in range(n_steps):
         theta = _rk4(theta, K, Ks, delta, dt)
-        if noise_sigma > 0.0:
-            theta = theta + noise_scale * noise[k]
+        if noise is not None:
+            theta = theta + noise[k]
         if sample_at[k + 1]:
-            _check_finite(theta, (k + 1) * dt)
+            check_finite(theta, _DIVERGED, (k + 1) * dt)
             times.append((k + 1) * dt)
             samples.append(theta.copy())
     return np.array(times), np.stack(samples)
 
 
-def _check_finite(theta, t: float) -> None:
-    """Raise SimulationDiverged naming the first non-finite phase of a sample."""
-    finite = np.isfinite(theta)
-    if not finite.all():
-        b, i = (int(x) for x in np.argwhere(~finite)[0])
-        raise SimulationDiverged(
-            f"non-finite phase at t={t:.3f} periods (run {b}, oscillator {i})"
-        )
+def simulate(m: MachineConfig, init: PhaseState, duration_periods: float) -> PhaseTrace:
+    """Integrate one noise-free run from time 0 under a fixed machine configuration.
 
-
-def simulate(
-    m: MachineConfig,
-    init: PhaseState,
-    duration_periods: float,
-    rng: np.random.Generator | None = None,
-) -> PhaseTrace:
-    """Integrate one run from time 0 under a fixed machine configuration.
-
-    Mid-run sync toggling is composed by the harness from piecewise
-    segments; within a segment the gate state is constant.
+    Noisy runs follow the run protocol (``harness.run_many``), whose seeds
+    fix each run's Brownian path.
     """
+    if m.noise_sigma > 0:
+        raise ValueError("simulate is noise-free; noisy runs go through harness.run_many")
     if init.n != m.n:
         raise ValueError("initial state size does not match machine size")
     K, Ks = coupling_terms(m)
-    n_steps = int(round(duration_periods * DEFAULT_STEPS_PER_PERIOD))
-    noise = None
-    if m.noise_sigma > 0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
-        noise = rng.standard_normal((n_steps, 1, m.n))
     times, thetas = integrate_batch(
-        init.theta[None, :],
-        K,
-        Ks,
-        np.asarray(m.detuning),
-        duration_periods,
-        noise_sigma=m.noise_sigma,
-        noise=noise,
-    )
+        init.theta[None, :], K, Ks, np.asarray(m.detuning), duration_periods)
     return PhaseTrace(times=times, thetas=thetas[:, 0, :])

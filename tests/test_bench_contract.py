@@ -38,8 +38,8 @@ def test_work_counters_bind_their_parameters(tracer):
         assert params <= set(inspect.signature(fn).parameters), fn.__name__
 
 
-def test_traced_phase_solve_records_every_layer(tracer, tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_ORACLE_CACHE", {})  # force a cold oracle
+def test_traced_phase_solve_records_every_layer(tracer, tmp_path):
+    harness.oracle_max_cut.cache_clear()  # force a cold oracle
     graph = tmp_path / "edge.graph"
     graph.write_text("n 2\n1 2 1.0\n")
     argv = ["solve", "--graph", str(graph), "--runs", "2", "--settle-periods", "2",

@@ -123,6 +123,16 @@ class TestDivergence:
                 OscParams(), 1.0, 0.1 / F0, 4, F0,
             )
 
+    def test_end_state_check_names_run_and_oscillator(self):
+        # 3 steps at stride 4 store no sample, so only the end-state check sees it
+        q0 = np.zeros((2, 2, 3))
+        q0[1, 0, 0] = np.nan
+        with pytest.raises(SimulationDiverged, match=r"non-finite circuit state at "
+                                                     r"t=.* s \(run 1, oscillator 0\)"):
+            _integrate_network(
+                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
+                OscParams(), 1.0, 3.0 / (400 * F0), 4, F0,
+            )
 
     def test_diverged_run_stops_at_its_first_sample(self, monkeypatch):
         # one NaN charge over a 50-period window: the run must stop at the

@@ -156,6 +156,19 @@ class TestSolve:
             assert rc == 1
             assert "phase backend only" in capsys.readouterr().err
 
+    def test_oracle_limit_exits_1_before_calibration(self, tmp_path, monkeypatch, capsys):
+        from oscim import circuit_dynamics
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the oracle size check")
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_calibration)
+        path = tmp_path / "path25.graph"
+        path.write_text("n 25\n" + "".join(f"{u} {u + 1} 1\n" for u in range(1, 25)))
+        for argv in (["solve", "--backend", "circuit", "--runs", "2"], ["oracle"]):
+            assert main(argv + ["--graph", str(path)]) == 1
+            assert "too large for exhaustive enumeration" in capsys.readouterr().err
+
     def test_trace_csv(self, edge_file, tmp_path):
         trace = tmp_path / "trace.csv"
         rc = main([

@@ -7,7 +7,7 @@ from oscim import circuit_dynamics, harness, phase_dynamics
 from oscim.harness import (
     RunSchedule,
     best_operating_point,
-    optimal_bitstrings,
+    oracle_max_cut,
     run_many,
     sweep_coupling,
 )
@@ -45,13 +45,16 @@ def record_noise(monkeypatch, integrate=True):
 
 
 def k24_noise(spp, settle, seeds, monkeypatch):
-    """Noise a K24 protocol run at the given rung passes to integrate_batch."""
+    """Noise a K24 protocol run at the given rung passes to integrate_batch.
+
+    Returned in units of the 200-per-period grid, unscaled by noise_sigma.
+    """
     m = build_machine(K24, global_scale=K24_RUNG_SCALES[spp], noise_sigma=0.05)
     assert protocol_steps_per_period(m) == spp
     recorded = record_noise(monkeypatch, integrate=False)
     harness.phase_protocol_run(m, RunSchedule(settle_periods=settle), seeds)
     monkeypatch.undo()
-    return recorded[0]
+    return recorded[0] / (0.05 * np.sqrt(1.0 / 200))
 
 
 def one_run(g, m, seed):
@@ -270,7 +273,7 @@ class TestSweep:
         ))
         m = build_machine(g)
         rows = sweep_coupling(g, m, scales=(0.0,), runs_per_point=400, seed=17)
-        baseline = len(optimal_bitstrings(g)) / 2 ** (g.n - 1)
+        baseline = len(oracle_max_cut(g)[1]) / 2 ** (g.n - 1)
         assert rows[0].success_rate == pytest.approx(baseline, abs=0.1)
 
     def test_best_operating_point_prefers_clean(self):
@@ -285,7 +288,12 @@ class TestSweep:
 
 class TestOptimalBitstrings:
     def test_single_edge(self):
-        assert optimal_bitstrings(EDGE) == ("01",)
+        assert oracle_max_cut(EDGE)[1] == ("01",)
 
     def test_triangle_has_three(self):
-        assert optimal_bitstrings(TRIANGLE) == ("001", "010", "011")
+        assert oracle_max_cut(TRIANGLE)[1] == ("001", "010", "011")
+
+    def test_cache_keeps_the_last_graph_only(self):
+        oracle_max_cut(EDGE)
+        oracle_max_cut(TRIANGLE)
+        assert oracle_max_cut.cache_info().currsize == 1

@@ -6,6 +6,8 @@ import pytest
 from oscim.errors import SimulationDiverged
 from oscim.machine import ShilConfig, build_machine, set_sync
 from oscim.phase_dynamics import (
+    DEFAULT_STEPS_PER_PERIOD,
+    STEP_RUNGS,
     PhaseState,
     _rhs,
     binary_distance,
@@ -109,9 +111,14 @@ class TestStep:
         order = np.log2(err1 / err2)
         assert 3.5 < order < 4.5
 
-    def test_noise_requires_rng(self):
+    def test_simulate_rejects_noise(self, monkeypatch):
+        # noisy runs belong to the run protocol, whose seeds fix the path
+        def no_work(*args, **kwargs):
+            raise AssertionError("integration started before the noise check")
+
+        monkeypatch.setattr("oscim.phase_dynamics.integrate_batch", no_work)
         m = machine_on(noise_sigma=0.1)
-        with pytest.raises(ValueError, match="rng"):
+        with pytest.raises(ValueError, match="simulate is noise-free"):
             simulate(m, PhaseState(theta=np.zeros(2)), duration_periods=0.01)
 
     def test_duration_shorter_than_one_step_rejected(self):
@@ -264,7 +271,7 @@ class TestKernel:
 
 
 class TestNoiseShape:
-    """Bad pre-drawn noise is rejected before the first RK4 step."""
+    """Pre-drawn noise: added as given after each step, rejected early if misshapen."""
 
     def setup_method(self):
         m = machine_on(global_scale=0.25)
@@ -278,12 +285,8 @@ class TestNoiseShape:
         monkeypatch.setattr("oscim.phase_dynamics._rk4", no_step)
         with pytest.raises(ValueError, match=r"noise must have shape \(steps, B, n\)"):
             integrate_batch(
-                self.theta0, self.K, self.Ks, np.zeros(2), 1.0,
-                noise_sigma=0.05, noise=noise,
+                self.theta0, self.K, self.Ks, np.zeros(2), 1.0, noise=noise,
             )
-
-    def test_missing_noise(self, monkeypatch):
-        self.expect_rejected(None, monkeypatch)
 
     def test_too_few_steps(self, monkeypatch):
         self.expect_rejected(np.zeros((199, 3, 2)), monkeypatch)
@@ -291,14 +294,19 @@ class TestNoiseShape:
     def test_one_row_shared_by_the_batch(self, monkeypatch):
         self.expect_rejected(np.zeros((200, 1, 2)), monkeypatch)
 
-    def test_step_off_the_noise_grid(self, monkeypatch):
-        # 30 steps per period do not cover whole increments of the 200-grid
-        monkeypatch.setattr("oscim.phase_dynamics._rk4", None)
-        with pytest.raises(ValueError, match="steps_per_period dividing 200"):
-            integrate_batch(
-                self.theta0, self.K, self.Ks, np.zeros(2), 1.0, steps_per_period=30,
-                noise_sigma=0.05, noise=np.zeros((30, 3, 2)),
-            )
+    def test_uncoupled_run_is_the_sum_of_its_noise(self):
+        # with no coupling, SHIL or detuning an RK4 step leaves theta as it
+        # is, so the run is theta0 plus the increments, summed in step order
+        noise = np.random.default_rng(8).normal(0.0, 0.1, (40, 3, 2))
+        _, thetas = integrate_batch(self.theta0, np.zeros((2, 2)), 0.0, np.zeros(2), 1.0,
+                                    steps_per_period=40, noise=noise)
+        expected = np.cumsum(np.concatenate([self.theta0[None], noise]), axis=0)[-1]
+        assert np.array_equal(thetas[-1], expected)
+
+    def test_every_rung_divides_the_noise_grid(self):
+        # a coarse step's noise sums whole increments of the fine-grid path
+        for spp in STEP_RUNGS:
+            assert DEFAULT_STEPS_PER_PERIOD % spp == 0, spp
 
 
 def bench_style_graph(rng, n=20, p=0.3):
