@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,19 +149,18 @@ class OscParams:
         return 1.0 / (TWO_PI * self.rc * np.sqrt(6.0))
 
 
-@dataclass(frozen=True)
-class CircuitTrace:
+class CircuitTrace(NamedTuple):
     """Sampled amplifier outputs (volts) of a network simulation."""
 
     times: np.ndarray  # seconds
     outputs: np.ndarray  # (samples, n)
     sync_flags: np.ndarray  # per-sample gate state
 
-    def __post_init__(self):
-        for name in ("times", "outputs", "sync_flags"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+
+def _step_grid(duration_s: float, f0: float) -> tuple[int, float]:
+    """(RK4 steps, step in seconds) of an integration lasting duration_s."""
+    return (int(round(duration_s * f0 * DEFAULT_STEPS_PER_PERIOD)),
+            1.0 / (f0 * DEFAULT_STEPS_PER_PERIOD))
 
 
 def _integrate_network(
@@ -186,8 +186,7 @@ def _integrate_network(
     """
     state = np.concatenate([np.asarray(q0, float), np.asarray(s0, float)[..., None]],
                            axis=-1)
-    dt = 1.0 / (f0 * DEFAULT_STEPS_PER_PERIOD)
-    n_steps = int(round(duration_s * f0 * DEFAULT_STEPS_PER_PERIOD))
+    n_steps, dt = _step_grid(duration_s, f0)
     # per-column rates: 1/(RC) on the capacitors, the summer corner on s
     rate = np.empty(state.shape)
     rate[..., :3] = (1.0 / (p.rc * np.asarray(rc_scale)))[..., None]
@@ -433,7 +432,8 @@ def run_trace(m: MachineConfig, sched, seed) -> CircuitTrace:
     """
     seeds = np.random.SeedSequence(seed).spawn(1)
     t_free, u_free, t_on, u_on = _protocol_run(m, sched, seeds)
-    times = np.concatenate([t_free, t_on + (t_free[-1] if len(t_free) else 0.0)])
+    free_steps, dt = _step_grid(sched.free_run_periods / m.f0, m.f0)
+    times = np.concatenate([t_free, t_on + free_steps * dt])
     outputs = np.concatenate([u_free[:, 0, :], u_on[:, 0, :]], axis=0)
     flags = np.concatenate([np.zeros(len(t_free), bool), np.ones(len(t_on), bool)])
     return CircuitTrace(times=times, outputs=outputs, sync_flags=flags)

@@ -106,11 +106,11 @@ def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     m = _machine_for(args, g)
     sched = _schedule_for(args)
-    optimum, optimal = oracle_max_cut(g)
     stats = run_many(
         g, m, backend=args.backend, sched=sched, runs=args.runs,
         seed=args.seed, parallel=not args.sequential,
     )
+    optimum, optimal = oracle_max_cut(g)  # cached by run_many
     per_opt = {bits: stats.histogram.get(bits, 0) / stats.runs for bits in optimal}
     doc = {
         "command": "solve",

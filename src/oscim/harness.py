@@ -167,31 +167,14 @@ def _brownian_increments(rngs, n_steps: int, spp: int, n: int) -> np.ndarray:
     levels = (finest // _BRIDGE_STEPS_PER_PERIOD).bit_length() - 1
     group = finest // spp
     coarse = -(-(n_steps * group) >> levels)  # 1/25-period steps, rounded up
-    rows = coarse << levels
     noise = np.empty((n_steps, len(rngs), n))
-    # The finest level goes straight into noise when it is the noise; else
-    # into scratch reused by every run, which also holds one level's normals
-    # and the path's two latest levels.
-    direct = rows == n_steps
-    z = np.empty((rows >> 1, n))
-    paths = np.empty((2, rows, n))
     for b, rng in enumerate(rngs):
-        path = noise[:, b] if direct else paths[levels % 2]
-        w = paths[0, :coarse]
-        rng.standard_normal(w.shape, out=w)
-        np.multiply(w, np.sqrt(8.0), out=w if levels else path)
-        for level, sd in enumerate(_BRIDGE_SDS[:levels], 1):
-            dev = z[:len(w)]
-            rng.standard_normal(dev.shape, out=dev)
-            dev *= sd
-            w *= 0.5
-            halves = path if level == levels else paths[level % 2, :2 * len(w)]
-            np.add(w, dev, out=halves[0::2])
-            np.subtract(w, dev, out=halves[1::2])
-            w = halves
-        if not direct:
-            steps = path[:n_steps * group].reshape(n_steps, group, n)
-            np.einsum("kgi->ki", steps, out=noise[:, b])
+        w = rng.standard_normal((coarse, n)) * np.sqrt(8.0)
+        for sd in _BRIDGE_SDS[:levels]:
+            dev = rng.standard_normal(w.shape) * sd
+            w = np.stack([0.5 * w + dev, 0.5 * w - dev], axis=1).reshape(-1, n)
+        steps = w[:n_steps * group].reshape(n_steps, group, n)
+        np.einsum("kgi->ki", steps, out=noise[:, b])
     return noise
 
 
@@ -312,16 +295,18 @@ def sweep_coupling(
     """One RunStats row per global coupling scale; deterministic."""
     if not scales:
         raise ValueError("scale list must be nonempty")
+    # every scale's machine is checked before the first run
+    machines = [set_global_scale(m, scale) for scale in scales]
     rows = []
     children = np.random.SeedSequence(seed).spawn(len(scales))
-    for scale, child in zip(scales, children):
+    for scaled, child in zip(machines, children):
         stats = run_many(
-            g, set_global_scale(m, scale), backend, sched,
+            g, scaled, backend, sched,
             runs=runs_per_point, seed=child, parallel=True,
         )
         rows.append(
             SweepPoint(
-                scale=float(scale),
+                scale=scaled.global_scale,
                 success_rate=stats.success_rate,
                 mean_lock_period=stats.mean_lock_period,
                 locked_fraction=stats.locked_fraction,

@@ -43,6 +43,7 @@ states it coincides (up to a constant) with the programmed Ising energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,7 @@ class PhaseState:
         return self.theta.shape[0]
 
 
-@dataclass(frozen=True)
-class PhaseTrace:
+class PhaseTrace(NamedTuple):
     """Sampled phases of one run.
 
     times are in periods and strictly increasing; thetas has shape
@@ -92,16 +92,6 @@ class PhaseTrace:
 
     times: np.ndarray
     thetas: np.ndarray
-
-    def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        thetas = np.array(self.thetas, dtype=float)
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        times.setflags(write=False)
-        thetas.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "thetas", thetas)
 
 
 def wrap_phase(theta):
@@ -221,7 +211,7 @@ def integrate_batch(
     dt = 1.0 / steps_per_period
     check_finite(theta, _DIVERGED, 0.0)
     times = [0.0]
-    samples = [theta.copy()]
+    samples = [theta]
     for k in range(n_steps):
         theta = _rk4(theta, K, Ks, delta, dt)
         if noise is not None:
@@ -229,7 +219,7 @@ def integrate_batch(
         if sample_at[k + 1]:
             check_finite(theta, _DIVERGED, (k + 1) * dt)
             times.append((k + 1) * dt)
-            samples.append(theta.copy())
+            samples.append(theta)
     return np.array(times), np.stack(samples)
 
 

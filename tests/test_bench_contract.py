@@ -54,6 +54,25 @@ def test_traced_phase_solve_records_every_layer(tracer, tmp_path):
     assert not hasattr(cli.main, "__wrapped__")  # the tracer uninstalled itself
 
 
+def test_traced_circuit_run_records_every_layer(tracer):
+    from oscim.harness import RunSchedule
+    from oscim.machine import build_machine
+    from oscim.problems import Graph
+
+    g = Graph(n=2, edges=((1, 2, 1.0),))
+    m = build_machine(g, global_scale=0.2)
+    sched = RunSchedule(free_run_periods=1.0, settle_periods=5.0)
+    t = tracer.Tracer()
+    stats = t.run_job(0, harness.run_many, g, m, "circuit", sched, 2, 0)
+    assert stats.runs == 2
+    names = {s["name"] for s in t.spans}
+    for name in ("run_readout_batch", "calibrated_params", "phases_to_network_state",
+                 "phase_detector", "spins_from_detectors"):
+        assert name in names, name
+    assert "integrate_batch" not in names
+    assert not hasattr(harness.run_many, "__wrapped__")
+
+
 def test_circuit_step_count_matches_the_integrator(tracer, monkeypatch):
     # the tracer reads DEFAULT_STEPS_PER_PERIOD to count a circuit batch's
     # RK4 steps; each step makes four output solves, and the settle interval

@@ -381,6 +381,20 @@ class TestSimulateCircuit:
         _, u_free, _, u_on = _protocol_run(m, sched, run_seeds(3, 2))
         assert np.array_equal(trace.outputs, np.concatenate([u_free[:, 0], u_on[:, 0]]))
 
+    @pytest.mark.parametrize("free_periods, free_steps", [(1.0025, 401), (0.005, 2)])
+    def test_settle_times_continue_from_the_end_of_the_free_interval(
+            self, params, free_periods, free_steps):
+        # neither free interval ends on a sample (every 4th step); the 2-step
+        # one has no free sample at all
+        m = build_machine(Graph(n=2, edges=((1, 2, 1.0),)), global_scale=0.2, f0=F0)
+        trace = run_trace(m, RunSchedule(free_run_periods=free_periods,
+                                         settle_periods=5.0), seed=2)
+        dt = 1.0 / (F0 * circuit_dynamics.DEFAULT_STEPS_PER_PERIOD)
+        assert int((~trace.sync_flags).sum()) == free_steps // 4
+        settle_times = trace.times[trace.sync_flags]
+        expected = (free_steps + 4 * np.arange(1, len(settle_times) + 1)) * dt
+        np.testing.assert_allclose(settle_times, expected, rtol=1e-12, atol=0)
+
 
 class TestGateIndependence:
     def test_gated_network_equals_isolated_runs(self, params):

@@ -169,6 +169,23 @@ class TestSolve:
             assert main(argv + ["--graph", str(path)]) == 1
             assert "too large for exhaustive enumeration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--runs", "0"],
+                                       ["--backend", "circuit", "--noise", "0.5"]])
+    def test_run_checks_precede_the_oracle(self, tmp_path, monkeypatch, capsys, flags):
+        from oscim import harness
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the run checks")
+
+        harness.oracle_max_cut.cache_clear()
+        monkeypatch.setattr(harness, "brute_force_max_cut", no_oracle)
+        path = tmp_path / "k24.graph"
+        path.write_text("n 24\n" + "".join(
+            f"{u} {v} 1\n" for u in range(1, 25) for v in range(u + 1, 25)))
+        rc = main(["solve", "--graph", str(path), "--settle-periods", "6"] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_trace_csv(self, edge_file, tmp_path):
         trace = tmp_path / "trace.csv"
         rc = main([
@@ -204,6 +221,25 @@ class TestSweepCommand:
 
     def test_empty_scales_exit_1(self, edge_file, capsys):
         assert main(["sweep", "--graph", edge_file, "--scales", ","]) == 1
+
+    @pytest.mark.parametrize("scales", ["0.1,0.2,-0.1", "0.1,nan"])
+    def test_bad_scale_rejected_before_any_run(self, edge_file, monkeypatch, capsys, scales):
+        from oscim import phase_dynamics
+        from oscim.harness import sweep_coupling
+        from oscim.machine import build_machine
+        from oscim.problems import Graph
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scale ran before every scale was checked")
+
+        monkeypatch.setattr(phase_dynamics, "integrate_batch", no_run)
+        values = tuple(float(s) for s in scales.split(","))
+        g = Graph(n=2, edges=((1, 2, 1.0),))
+        with pytest.raises(ValueError, match="global_scale"):
+            sweep_coupling(g, build_machine(g), scales=values, runs_per_point=2, seed=0)
+        rc = main(["sweep", "--graph", edge_file, "--runs", "2", "--scales", scales])
+        assert rc == 1
+        assert "global_scale" in capsys.readouterr().err
 
     def test_deterministic(self, edge_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,7 @@
 """Run protocol: determinism, histogram accounting, schedules, sweeps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,23 @@ class TestNoisePath:
         assert coarse.shape[0] in (whole, whole + 1)
         sums = fine[:whole * group].reshape(whole, group, *fine.shape[1:]).sum(axis=1)
         np.testing.assert_allclose(coarse[:whole], sums, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spp, settle, digest", [
+        (25, 15.0, "9b5be65aefcee9dfa91238096340d251b90ac89f4cf25ee527549547d5297028"),
+        (25, 15.02, "5ee1b849302a84906d526d3882fa16a842a805fdcec013d169b543a82031281e"),
+        (40, 15.0, "645dca866ab1f7def73b9da9227475b8c8f045d1dfb618df36e84a9ef81a52af"),
+        (40, 15.02, "703e9c81c2c686863a6157b0e8c3e3cb94249b84a48cc4ff33e13d94f3472692"),
+        (200, 15.0, "827668114aaf4f81cf062ab7e5bf97f8f58468c86aed23ae35693bdde4f019b9"),
+        (200, 15.02, "83837b7f5cd72ca13464fb27f849728632e4a43b35ed41b090ffa6b30acdc948"),
+    ])
+    def test_increments_are_pinned_bit_for_bit(self, spp, settle, digest):
+        # the noise of a seed is part of the reproducibility contract: any
+        # rewrite of the bridge must draw and combine the same numbers
+        rngs = [np.random.default_rng(s) for s in harness.run_seeds(29, 3)]
+        n_steps = int(round(settle * spp))
+        noise = harness._brownian_increments(rngs, n_steps, spp, 5)
+        assert noise.shape == (n_steps, 3, 5)
+        assert hashlib.sha256(noise.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_variance_per_level(self, monkeypatch):
         # increments on the 25/50/100/200 grids have variance 8/4/2/1 grid
