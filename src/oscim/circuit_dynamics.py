@@ -42,6 +42,7 @@ import numpy as np
 from . import readout
 from .errors import check_finite
 from .machine import MachineConfig, effective_weights
+from .phase_dynamics import random_initial_phases
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,10 +66,12 @@ _RESIDUAL_TOL = 1e-11
 # calibrate: relative frequency tolerance and number of R*C refinements
 _CAL_TOLERANCE = 0.005
 _CAL_MAX_ITERS = 5
-# calibration's seeded free run: its length, its sample stride, and the
-# period after which it is on the limit cycle the state table is cut from
+# RK4 steps per stored sample of calibration's free run and of protocol
+# runs: 100 samples per period, the phase detector's fidelity
+_SAMPLE_STRIDE = 4
+# calibration's seeded free run: its length, and the period after which it
+# is on the limit cycle the state table is cut from
 _CAL_PERIODS = 50.0
-_SETTLE_STRIDE = 4
 _TABLE_START_PERIODS = 40
 
 
@@ -293,7 +296,7 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float,
     s0 = np.zeros(1)
     return _integrate_network(
         q0, s0, np.zeros((1, 1)), 0.0, False, p, 1.0,
-        periods / f_ref, _SETTLE_STRIDE, f_ref,
+        periods / f_ref, _SAMPLE_STRIDE, f_ref,
         record_states=record_states,
     )
 
@@ -316,7 +319,7 @@ def _seeded_settle(p: OscParams, f_ref: float):
     times, outputs, _, states = _free_run_single(p, _CAL_PERIODS, f_ref, record_states=True)
     trace = CircuitTrace(times=times, outputs=outputs,
                          sync_flags=np.zeros(times.shape, dtype=bool))
-    i = _TABLE_START_PERIODS * DEFAULT_STEPS_PER_PERIOD // _SETTLE_STRIDE - 1
+    i = _TABLE_START_PERIODS * DEFAULT_STEPS_PER_PERIOD // _SAMPLE_STRIDE - 1
     return measure_free_run_frequency(trace), states[i].copy()
 
 
@@ -380,10 +383,10 @@ def phases_to_network_state(theta, p: OscParams, f0: float):
 def _protocol_run(m: MachineConfig, sched, seeds):
     """Seeded protocol runs on the circuit backend, free interval then settle.
 
-    Each run's generator draws its initial phases, then its frequency
-    jitter.  Returns (t_free, u_free, t_on, u_on) with outputs shaped
-    (samples, B, n).  The settle clock, and with it the SHIL source phase,
-    restarts at zero at gate-on.
+    Each run's generator draws its initial phases, as on the phase backend,
+    then its frequency jitter.  Returns (t_free, u_free, t_on, u_on) with
+    outputs shaped (samples, B, n).  The settle clock, and with it the SHIL
+    source phase, restarts at zero at gate-on.
     """
     window = readout.DETECTOR_PERIODS
     if sched.settle_periods < window:
@@ -393,20 +396,19 @@ def _protocol_run(m: MachineConfig, sched, seeds):
         )
     p = calibrated_params(m.f0)
     rngs = [np.random.default_rng(s) for s in seeds]
-    theta0 = np.stack([r.uniform(0.0, TWO_PI, m.n) for r in rngs])
+    theta0 = np.stack([random_initial_phases(m.n, r) for r in rngs])
     jitter = np.stack([r.uniform(-FREERUN_JITTER, FREERUN_JITTER, m.n) for r in rngs])
     q0, s0 = phases_to_network_state(theta0, p, m.f0)
     rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
     W = effective_weights(m)
     shil = resolve_shil_voltage(m, p)
-    stride = 4  # detector fidelity: 100 samples per period
     t_free, u_free, final = _integrate_network(
         q0, s0, W, shil, False, p, rc_scale,
-        sched.free_run_periods / m.f0, stride, m.f0,
+        sched.free_run_periods / m.f0, _SAMPLE_STRIDE, m.f0,
     )
     t_on, u_on, _ = _integrate_network(
         final[..., :3], final[..., 3], W, shil, True, p, rc_scale,
-        sched.settle_periods / m.f0, stride, m.f0,
+        sched.settle_periods / m.f0, _SAMPLE_STRIDE, m.f0,
     )
     return t_free, u_free, t_on, u_on
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import circuit_dynamics as circuit
 from . import phase_dynamics as phase
 from .machine import MachineConfig, set_global_scale, set_sync
-from .problems import Graph, brute_force_max_cut, cut_value
+from .problems import Graph, brute_force_max_cut, cut_values
 from .readout import lock_period, spins_from_phases
 
 BACKENDS = ("phase", "circuit")
@@ -131,11 +131,11 @@ def run_seeds(master_seed, runs: int) -> list[np.random.SeedSequence]:
 def _run_results(g: Graph, optimum: float, spins, resolved, locks) -> list[RunResult]:
     """One RunResult per run from reference-normalized spins (B, n)."""
     results = []
-    for run_spins, run_resolved, lock in zip(spins, resolved, locks):
-        cut = cut_value(g, run_spins)
+    cuts = cut_values(g, spins)
+    for run_spins, cut, run_resolved, lock in zip(spins, cuts, resolved, locks):
         results.append(RunResult(
             bitstring=_bitstring(run_spins),
-            cut=cut,
+            cut=float(cut),
             optimal=bool(cut >= optimum - CUT_TOLERANCE),
             lock_period=lock,
             unresolved_count=int(np.count_nonzero(~run_resolved)),
@@ -206,7 +206,7 @@ def phase_protocol_run(
             f"(1/{spp} period at this coupling)"
         )
     rngs = [np.random.default_rng(s) for s in seeds]
-    theta0 = np.stack([phase.random_initial_phases(n, r).theta for r in rngs])
+    theta0 = np.stack([phase.random_initial_phases(n, r) for r in rngs])
     noise = None
     if m.noise_sigma > 0:
         noise = _brownian_increments(rngs, n_steps, spp, n)

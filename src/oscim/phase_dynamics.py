@@ -42,9 +42,6 @@ states it coincides (up to a constant) with the programmed Ising energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import check_finite
@@ -61,37 +58,6 @@ SAMPLES_PER_PERIOD = 16.0
 STEP_RUNGS = (25, 40, 50, 100, 200)
 
 _DIVERGED = "phase at t={t:.3f} periods"
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Oscillator phases (radians)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        if theta.ndim != 1:
-            raise ValueError("theta must be one-dimensional")
-        if not np.isfinite(theta).all():
-            raise ValueError("phases must be finite")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def n(self) -> int:
-        return self.theta.shape[0]
-
-
-class PhaseTrace(NamedTuple):
-    """Sampled phases of one run.
-
-    times are in periods and strictly increasing; thetas has shape
-    (samples, n).
-    """
-
-    times: np.ndarray
-    thetas: np.ndarray
 
 
 def wrap_phase(theta):
@@ -118,15 +84,23 @@ def _rhs(theta, K, Ks, delta):
     return delta - coup - Ks * np.sin(2.0 * theta)
 
 
-def phase_derivative(state: PhaseState, m: MachineConfig) -> np.ndarray:
-    """Rates dtheta/dtau per radian time (2*pi*f0*t_seconds).
+def _checked_phases(theta, m: MachineConfig) -> np.ndarray:
+    """theta as a float array, checked to be (m.n,) and finite."""
+    th = np.array(theta, dtype=float)
+    if th.shape != (m.n,):
+        raise ValueError(f"theta must have shape ({m.n},) for this machine, got {th.shape}")
+    if not np.isfinite(th).all():
+        raise ValueError("phases must be finite")
+    return th
+
+
+def phase_derivative(theta, m: MachineConfig) -> np.ndarray:
+    """Rates dtheta/dtau per radian time (2*pi*f0*t_seconds) at phases theta (n,).
 
     With sync off only the detuning terms remain.
     """
-    if state.n != m.n:
-        raise ValueError("state size does not match machine size")
     K, Ks = coupling_terms(m)
-    return _rhs(state.theta, K, Ks, np.asarray(m.detuning))
+    return _rhs(_checked_phases(theta, m), K, Ks, np.asarray(m.detuning))
 
 
 def network_energy(theta, m: MachineConfig) -> float:
@@ -143,9 +117,9 @@ def network_energy(theta, m: MachineConfig) -> float:
     return pair - 0.5 * Ks * float(np.cos(2.0 * th).sum())
 
 
-def random_initial_phases(n: int, rng: np.random.Generator) -> PhaseState:
-    """Independent uniform phases on [0, 2*pi); the free-run protocol step."""
-    return PhaseState(theta=rng.uniform(0.0, TWO_PI, n))
+def random_initial_phases(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform phases (n,) on [0, 2*pi): the free-run step of both backends' runs."""
+    return rng.uniform(0.0, TWO_PI, n)
 
 
 def steps_per_period_for(K, Ks) -> int:
@@ -223,17 +197,16 @@ def integrate_batch(
     return np.array(times), np.stack(samples)
 
 
-def simulate(m: MachineConfig, init: PhaseState, duration_periods: float) -> PhaseTrace:
-    """Integrate one noise-free run from time 0 under a fixed machine configuration.
+def simulate(m: MachineConfig, theta0, duration_periods: float) -> tuple[np.ndarray, np.ndarray]:
+    """One noise-free run from phases theta0 (n,): (times (S,), thetas (S, n)).
 
-    Noisy runs follow the run protocol (``harness.run_many``), whose seeds
-    fix each run's Brownian path.
+    Times are in periods.  Noisy runs follow the run protocol
+    (``harness.run_many``), whose seeds fix each run's Brownian path.
     """
     if m.noise_sigma > 0:
         raise ValueError("simulate is noise-free; noisy runs go through harness.run_many")
-    if init.n != m.n:
-        raise ValueError("initial state size does not match machine size")
+    theta = _checked_phases(theta0, m)[None, :]
     K, Ks = coupling_terms(m)
     times, thetas = integrate_batch(
-        init.theta[None, :], K, Ks, np.asarray(m.detuning), duration_periods)
-    return PhaseTrace(times=times, thetas=thetas[:, 0, :])
+        theta, K, Ks, np.asarray(m.detuning), duration_periods)
+    return times, thetas[:, 0, :]

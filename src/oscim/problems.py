@@ -148,14 +148,22 @@ def energy(p: IsingProblem, spins) -> float:
     return -pair_sum - float(p.h @ s) + p.offset
 
 
+def cut_values(g: Graph, spins) -> np.ndarray:
+    """Cut weight of each row of a (K, n) array of +-1 spins (not validated).
+
+    Each row sums the weights of its cut edges in edge order, so every
+    caller scores a configuration bit for bit alike.
+    """
+    s = np.asarray(spins)
+    cuts = np.zeros(s.shape[0])
+    for u, v, w in g.edges:
+        cuts += np.where(s[:, u - 1] != s[:, v - 1], w, 0.0)
+    return cuts
+
+
 def cut_value(g: Graph, spins) -> float:
     """Total weight of edges whose endpoints carry opposite spins."""
-    s = validate_spins(spins, g.n)
-    total = 0.0
-    for u, v, w in g.edges:
-        if s[u - 1] != s[v - 1]:
-            total += w
-    return total
+    return float(cut_values(g, validate_spins(spins, g.n)[None, :])[0])
 
 
 def qubo_value(q: Qubo, x) -> float:
@@ -260,9 +268,7 @@ def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
         # a non-finite screen keeps every row (the comparison is False)
         near = low[~(q > q.min() + margin)]
         spins = np.hstack((near, np.broadcast_to(fixed, (near.shape[0], fixed.size))))
-        cuts = np.zeros(spins.shape[0])
-        for u, v, w in g.edges:
-            cuts += np.where(spins[:, u - 1] != spins[:, v - 1], w, 0.0)
+        cuts = cut_values(g, spins)
         m = cuts.max() if cuts.size else 0.0
         if m > best:
             best = m

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, document shape, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,8 @@ from oscim.cli import main
 
 TRIANGLE_TEXT = "n 3\n1 2 1\n2 3 1\n1 3 1\n"
 EDGE_TEXT = "n 2\n1 2 1.0\n"
+WEIGHTED8_TEXT = ("n 8\n1 2 0.7\n1 3 1.3\n2 4 0.9\n3 4 1.1\n4 5 0.3\n5 6 1.7\n"
+                  "5 7 0.6\n6 8 1.2\n7 8 0.8\n2 6 0.4\n3 7 1.5\n1 8 0.55\n")
 
 
 @pytest.fixture
@@ -198,6 +201,30 @@ class TestSolve:
         assert lines[0] == "t_periods,osc1,osc2,sync"
         # default sampling: 16 per period over 10 periods, initial sample included
         assert len(lines) - 1 == pytest.approx(10 * 16, abs=1.5)
+
+
+class TestPinnedDocuments:
+    """sha256 of the `solve --out` bytes of three fixed cases.
+
+    Only documents are pinned: they hold counts and sample times, while the
+    raw floats of a trace CSV may differ in the last bits across CPUs.
+    """
+
+    @pytest.mark.parametrize("name, text, flags, digest", [
+        ("triangle.graph", TRIANGLE_TEXT, ["--seed", "77"],
+         "e120580c0468bb799ed1aec6af8c9982534bc38d5e6de8cc74fa37fe38817871"),
+        ("w8.graph", WEIGHTED8_TEXT, ["--noise", "0.05", "--seed", "5"],
+         "d7a1a5b55d75ff168c4e616ebdc2fb1a49f25bb469883cd6a886c9332a297675"),
+        ("triangle.graph", TRIANGLE_TEXT,
+         ["--backend", "circuit", "--runs", "4", "--seed", "1", "--settle-periods", "10"],
+         "a9cfd6cc4bc295b4330c89ae11e915bdd3a9ee551b81ccf905ca2cbd152f7118"),
+    ], ids=["phase-triangle", "phase-weighted8-noisy", "circuit-triangle"])
+    def test_document_digest(self, tmp_path, monkeypatch, name, text, flags, digest):
+        # the config echo records the graph path, so it is given relative
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert main(["solve", "--graph", name, "--out", "doc.json"] + flags) == 0
+        assert hashlib.sha256((tmp_path / "doc.json").read_bytes()).hexdigest() == digest
 
 
 class TestSweepCommand:

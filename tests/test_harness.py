@@ -11,6 +11,7 @@ from oscim.harness import (
     best_operating_point,
     oracle_max_cut,
     run_many,
+    run_seeds,
     sweep_coupling,
 )
 from oscim.machine import build_machine
@@ -261,6 +262,29 @@ class TestNoisePath:
         batched, *alone = recorded
         for b, noise in enumerate(alone):
             assert np.array_equal(batched[:, b:b + 1], noise)
+
+
+class TestInitialPhases:
+    def test_both_backends_draw_the_same_initial_phases(self, monkeypatch):
+        # the backend agreement of criterion 9 starts each seed from the same
+        # phases on both backends
+        m = build_machine(TRIANGLE, global_scale=0.2)
+        _, thetas = harness.phase_protocol_run(m, RunSchedule(), run_seeds(712, 4))
+        drawn = []
+
+        class Drawn(Exception):
+            pass
+
+        def capture(theta, p, f0):
+            drawn.append(np.array(theta))
+            raise Drawn
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params",
+                            lambda f0: circuit_dynamics.OscParams())
+        monkeypatch.setattr(circuit_dynamics, "phases_to_network_state", capture)
+        with pytest.raises(Drawn):
+            circuit_dynamics._protocol_run(m, RunSchedule(), run_seeds(712, 4))
+        assert np.array_equal(drawn[0], thetas[0])
 
 
 class TestSchedule:

@@ -163,11 +163,11 @@ class TestSyncGate:
         assert not m.sync_enabled  # original untouched
 
     def test_gate_zeroes_dynamics_drive(self):
-        from oscim.phase_dynamics import PhaseState, phase_derivative
+        from oscim.phase_dynamics import phase_derivative
 
         g = Graph(n=2, edges=((1, 2, 1.0),))
         m = build_machine(g, global_scale=0.3)
-        state = PhaseState(theta=np.array([0.3, 2.0]))
+        state = np.array([0.3, 2.0])
         assert np.all(phase_derivative(state, m) == 0.0)
         m_on = set_sync(m, True)
         assert np.any(phase_derivative(state, m_on) != 0.0)

@@ -8,7 +8,6 @@ from oscim.machine import ShilConfig, build_machine, set_sync
 from oscim.phase_dynamics import (
     DEFAULT_STEPS_PER_PERIOD,
     STEP_RUNGS,
-    PhaseState,
     _rhs,
     binary_distance,
     coupling_terms,
@@ -35,26 +34,26 @@ def machine_on(g=EDGE, **kw):
 class TestPhaseDerivative:
     def test_antiphase_pair_is_stationary(self):
         m = machine_on(global_scale=0.25)
-        d = phase_derivative(PhaseState(theta=np.array([0.0, np.pi])), m)
+        d = phase_derivative(np.array([0.0, np.pi]), m)
         assert np.allclose(d, 0.0, atol=1e-12)
 
     def test_sync_off_gives_detuning_only(self):
         m = build_machine(EDGE, detuning=(0.01, -0.02))
-        d = phase_derivative(PhaseState(theta=np.array([0.3, 1.1])), m)
+        d = phase_derivative(np.array([0.3, 1.1]), m)
         assert np.allclose(d, [0.01, -0.02])
 
     def test_quarter_phase_magnitude(self):
         # theta = (0, pi/2), weight 0.2: coupling term magnitude 0.2 per
         # radian time; sign pushes the pair apart (antiphase stabilizing).
         m = machine_on(global_scale=0.2, shil=ShilConfig(amplitude=0.0))
-        d = phase_derivative(PhaseState(theta=np.array([0.0, np.pi / 2])), m)
+        d = phase_derivative(np.array([0.0, np.pi / 2]), m)
         assert d[0] == pytest.approx(-0.2, abs=1e-12)
         assert d[1] == pytest.approx(0.2, abs=1e-12)
 
     def test_positive_weight_destabilizes_in_phase(self):
         m = machine_on(global_scale=0.2, shil=ShilConfig(amplitude=0.0))
         eps = 0.01
-        d = phase_derivative(PhaseState(theta=np.array([0.0, eps])), m)
+        d = phase_derivative(np.array([0.0, eps]), m)
         # the small phase gap must widen
         assert d[1] - d[0] > 0
 
@@ -74,7 +73,7 @@ class TestPhaseDerivative:
                 tp[i] += h
                 tm[i] -= h
                 grad[i] = (network_energy(tp, m) - network_energy(tm, m)) / (2 * h)
-            d = phase_derivative(PhaseState(theta=theta), m)
+            d = phase_derivative(theta, m)
             assert np.allclose(d, -grad, atol=1e-6)
 
 
@@ -119,7 +118,7 @@ class TestStep:
         monkeypatch.setattr("oscim.phase_dynamics.integrate_batch", no_work)
         m = machine_on(noise_sigma=0.1)
         with pytest.raises(ValueError, match="simulate is noise-free"):
-            simulate(m, PhaseState(theta=np.zeros(2)), duration_periods=0.01)
+            simulate(m, np.zeros(2), duration_periods=0.01)
 
     def test_duration_shorter_than_one_step_rejected(self):
         # 0.001 periods round to zero steps at 200 per period; the call used
@@ -136,7 +135,7 @@ class TestStep:
     def test_simulate_shorter_than_one_step_rejected(self):
         with pytest.raises(ValueError, match=r"duration_periods=0\.001 is shorter "
                                              r"than one RK4 step"):
-            simulate(machine_on(), PhaseState(theta=[0.1, 0.2]), duration_periods=0.001)
+            simulate(machine_on(), [0.1, 0.2], duration_periods=0.001)
 
     def test_diverged_run_stops_at_its_first_sample(self, monkeypatch):
         # a NaN coupling poisons the first step; the run must stop at the
@@ -164,21 +163,40 @@ class TestStep:
             integrate_batch(theta0, K, Ks, np.zeros(2), 3.0)
 
 
+class TestOutsideInputChecks:
+    @pytest.mark.parametrize("theta, message", [
+        (np.zeros((1, 2)), "shape"),
+        (np.zeros(3), "shape"),
+        (np.array([0.1, np.nan]), "finite"),
+    ], ids=["two-dimensional", "wrong-length", "nan"])
+    def test_bad_phases_rejected_before_any_work(self, monkeypatch, theta, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the phases were checked")
+
+        monkeypatch.setattr("oscim.phase_dynamics.integrate_batch", no_work)
+        monkeypatch.setattr("oscim.phase_dynamics._rhs", no_work)
+        m = machine_on()
+        with pytest.raises(ValueError, match=message):
+            simulate(m, theta, duration_periods=1.0)
+        with pytest.raises(ValueError, match=message):
+            phase_derivative(theta, m)
+
+
 class TestRandomInitialPhases:
     def test_same_seed_same_phases(self):
         a = random_initial_phases(8, np.random.default_rng(5))
         b = random_initial_phases(8, np.random.default_rng(5))
-        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = random_initial_phases(8, np.random.default_rng(5))
         b = random_initial_phases(8, np.random.default_rng(6))
-        assert not np.array_equal(a.theta, b.theta)
+        assert not np.array_equal(a, b)
 
     def test_uniform_distribution(self):
         from scipy import stats
 
-        draws = random_initial_phases(10_000, np.random.default_rng(123)).theta
+        draws = random_initial_phases(10_000, np.random.default_rng(123))
         _, p_value = stats.kstest(draws / TWO_PI, "uniform")
         assert p_value > 0.01
 
@@ -187,24 +205,24 @@ class TestSimulate:
     def test_constant_without_coupling_or_shil(self):
         g = Graph(n=2, edges=())
         m = set_sync(build_machine(g, shil=ShilConfig(amplitude=0.0)), True)
-        init = PhaseState(theta=np.array([0.4, 1.9]))
-        trace = simulate(m, init, duration_periods=3.0)
-        assert np.allclose(trace.thetas[-1], init.theta, atol=1e-12)
+        init = np.array([0.4, 1.9])
+        _, thetas = simulate(m, init, duration_periods=3.0)
+        assert np.allclose(thetas[-1], init, atol=1e-12)
 
     def test_two_oscillator_antiphase_lock(self):
         m = machine_on(global_scale=0.2)
         rng = np.random.default_rng(17)
-        trace = simulate(m, random_initial_phases(2, rng), duration_periods=12.0)
-        mask = trace.times >= 10.0
-        dpsi = np.abs(wrap_phase(trace.thetas[mask, 0] - trace.thetas[mask, 1]) - np.pi)
+        times, thetas = simulate(m, random_initial_phases(2, rng), duration_periods=12.0)
+        mask = times >= 10.0
+        dpsi = np.abs(wrap_phase(thetas[mask, 0] - thetas[mask, 1]) - np.pi)
         assert np.all(dpsi < 0.05)
 
     def test_energy_non_increasing(self):
         g = Graph(n=4, edges=((1, 2, 1.0), (2, 3, 0.5), (3, 4, 1.0), (1, 4, 0.75)))
         m = machine_on(g, global_scale=0.3)
         rng = np.random.default_rng(23)
-        trace = simulate(m, random_initial_phases(4, rng), duration_periods=10.0)
-        energies = [network_energy(th, m) for th in trace.thetas]
+        _, thetas = simulate(m, random_initial_phases(4, rng), duration_periods=10.0)
+        energies = [network_energy(th, m) for th in thetas]
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-8)
 
@@ -212,18 +230,18 @@ class TestSimulate:
         m = machine_on(global_scale=0.25)
         rng = np.random.default_rng(31)
         init = random_initial_phases(2, rng)
-        shifted = PhaseState(theta=wrap_phase(init.theta + np.pi))
-        t1 = simulate(m, init, duration_periods=5.0)
-        t2 = simulate(m, shifted, duration_periods=5.0)
+        shifted = wrap_phase(init + np.pi)
+        _, thetas1 = simulate(m, init, duration_periods=5.0)
+        _, thetas2 = simulate(m, shifted, duration_periods=5.0)
         assert np.allclose(
-            wrap_phase(t2.thetas[-1]), wrap_phase(t1.thetas[-1] + np.pi), atol=1e-9
+            wrap_phase(thetas2[-1]), wrap_phase(thetas1[-1] + np.pi), atol=1e-9
         )
 
     def test_binarization_with_shil(self):
         m = machine_on(global_scale=0.2)
         rng = np.random.default_rng(41)
-        trace = simulate(m, random_initial_phases(2, rng), duration_periods=20.0)
-        assert np.all(binary_distance(trace.thetas[-1]) < np.deg2rad(15))
+        _, thetas = simulate(m, random_initial_phases(2, rng), duration_periods=20.0)
+        assert np.all(binary_distance(thetas[-1]) < np.deg2rad(15))
 
 
 class TestBatchConsistency:
@@ -348,7 +366,7 @@ class TestStepRule:
         m = build_machine(k24, global_scale=scale)
         seeds = run_seeds(3, 8)
         times, thetas = phase_protocol_run(m, RunSchedule(settle_periods=10.0), seeds)
-        theta0 = np.stack([random_initial_phases(n, np.random.default_rng(s)).theta
+        theta0 = np.stack([random_initial_phases(n, np.random.default_rng(s))
                            for s in seeds])
         K, Ks = coupling_terms(set_sync(m, True))
         ref_times, ref = integrate_batch(theta0, K, Ks, np.zeros(n), 10.0,

@@ -10,6 +10,7 @@ from oscim.problems import (
     brute_force_ground_states,
     brute_force_max_cut,
     cut_value,
+    cut_values,
     energy,
     graph_to_ising,
     ising_to_qubo,
@@ -111,6 +112,26 @@ class TestCutValue:
     def test_triangle_maximum(self):
         assert cut_value(TRIANGLE, [1, 1, -1]) == 2.0
         assert max(cut_value(TRIANGLE, s) for s in all_spin_configs(3)) == 2.0
+
+    def test_cut_values_bitwise_equal_a_per_row_sum(self):
+        # mixed-sign, non-dyadic weights expose any change of summation order
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            g = Graph(n=n, edges=tuple(
+                (u, v, float(rng.uniform(-2.0, 2.0)))
+                for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.6
+            ))
+            spins = rng.choice([-1, 1], size=(16, n))
+            expected = []
+            for row in spins:
+                total = 0.0
+                for u, v, w in g.edges:
+                    if row[u - 1] != row[v - 1]:
+                        total += w
+                expected.append(total)
+            assert cut_values(g, spins).tobytes() == np.array(expected).tobytes()
+            assert [cut_value(g, row) for row in spins] == expected
 
 
 class TestEnergyCutIdentity:
