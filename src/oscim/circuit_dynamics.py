@@ -46,7 +46,16 @@ from .phase_dynamics import random_initial_phases
 
 TWO_PI = 2.0 * np.pi
 
-DEFAULT_STEPS_PER_PERIOD = 400
+# Stored output samples per period: the phase detector's fidelity
+SAMPLES_PER_PERIOD = 100
+# RK4 step counts a circuit run may use, each a multiple of SAMPLES_PER_PERIOD
+# so that every rung stores the same sample times.  Calibration and the
+# limit-cycle table use the first, DEFAULT_STEPS_PER_PERIOD.
+STEP_RUNGS = (200, 400)
+DEFAULT_STEPS_PER_PERIOD = STEP_RUNGS[0]
+# largest |lambda|*h a rung may reach: a margin under RK4's real-axis
+# stability limit of about 2.785
+_STABILITY_BOUND = 2.0
 GAIN_THRESHOLD = 29.0
 
 # Summer-lag corner sits SUMMER_RATIO times above the ladder corner 1/(RC).
@@ -66,9 +75,6 @@ _RESIDUAL_TOL = 1e-11
 # calibrate: relative frequency tolerance and number of R*C refinements
 _CAL_TOLERANCE = 0.005
 _CAL_MAX_ITERS = 5
-# RK4 steps per stored sample of calibration's free run and of protocol
-# runs: 100 samples per period, the phase detector's fidelity
-_SAMPLE_STRIDE = 4
 # calibration's seeded free run: its length, and the period after which it
 # is on the limit cycle the state table is cut from
 _CAL_PERIODS = 50.0
@@ -160,10 +166,28 @@ class CircuitTrace(NamedTuple):
     sync_flags: np.ndarray  # per-sample gate state
 
 
-def _step_grid(duration_s: float, f0: float) -> tuple[int, float]:
+def steps_per_period_for(m: MachineConfig, p: OscParams) -> int:
+    """Smallest STEP_RUNGS entry whose RK4 step keeps machine m stable.
+
+    The stiffest mode is the summer lag, rate SUMMER_RATIO/RC, well above the
+    ladder's rates of a few 1/(RC).  Through the outputs (|du/ds| <=
+    sync_gain) each summer also feels its row of the coupling, so by
+    Gershgorin the eigenvalues of the summers' block of the Jacobian lie within
+    SUMMER_RATIO/RC * (1 + sync_gain * max_i sum_j |W_ij|) of zero.  The step
+    1/(f0 * steps) must keep |lambda| * h <= _STABILITY_BOUND.  Machines too
+    stiff for every rung get the last.
+    """
+    rowsum = float(np.abs(effective_weights(m)).sum(axis=-1).max())
+    stiffness = SUMMER_RATIO / p.rc * (1.0 + p.sync_gain * rowsum)
+    for spp in STEP_RUNGS:
+        if stiffness / (m.f0 * spp) <= _STABILITY_BOUND:
+            return spp
+    return STEP_RUNGS[-1]
+
+
+def _step_grid(duration_s: float, f0: float, spp: int) -> tuple[int, float]:
     """(RK4 steps, step in seconds) of an integration lasting duration_s."""
-    return (int(round(duration_s * f0 * DEFAULT_STEPS_PER_PERIOD)),
-            1.0 / (f0 * DEFAULT_STEPS_PER_PERIOD))
+    return int(round(duration_s * f0 * spp)), 1.0 / (f0 * spp)
 
 
 def _integrate_network(
@@ -175,21 +199,25 @@ def _integrate_network(
     p: OscParams,
     rc_scale,
     duration_s: float,
-    sample_stride: int,
     f0: float,
+    spp: int = DEFAULT_STEPS_PER_PERIOD,
     record_states: bool = False,
 ):
-    """Fixed-step RK4 of the batched network.
+    """Fixed-step RK4 of the batched network, spp steps per period.
 
-    Returns (times, u_samples, end_state[, state_samples]).  States are
-    (..., n, 4) = (q1, q2, q3, s); the summer state always tracks the
-    coupled sum plus SHIL at 2*f0, while the gate decides whether the
-    oscillator sees it, so closing the gate causes no summer turn-on
-    transient.  A non-finite output stops the run at the sample it shows in.
+    spp is a multiple of SAMPLES_PER_PERIOD; outputs are stored every
+    spp // SAMPLES_PER_PERIOD steps, so the sample times do not depend on it.
+    Returns (times, u_samples, end_state[, step_states]), step_states holding
+    the state after every step.  States are (..., n, 4) = (q1, q2, q3, s);
+    the summer state always tracks the coupled sum plus SHIL at 2*f0, while
+    the gate decides whether the oscillator sees it, so closing the gate
+    causes no summer turn-on transient.  A non-finite output stops the run
+    at the sample it shows in.
     """
     state = np.concatenate([np.asarray(q0, float), np.asarray(s0, float)[..., None]],
                            axis=-1)
-    n_steps, dt = _step_grid(duration_s, f0)
+    n_steps, dt = _step_grid(duration_s, f0, spp)
+    sample_stride = spp // SAMPLES_PER_PERIOD
     # per-column rates: 1/(RC) on the capacitors, the summer corner on s
     rate = np.empty(state.shape)
     rate[..., :3] = (1.0 / (p.rc * np.asarray(rc_scale)))[..., None]
@@ -218,13 +246,11 @@ def _integrate_network(
     n_samples = n_steps // sample_stride
     times = sample_stride * np.arange(1, n_samples + 1) * dt
     outputs = np.empty((n_samples,) + state.shape[:-1])
-    states = np.empty((n_samples,) + state.shape) if record_states else None
+    states = np.empty((n_steps,) + state.shape) if record_states else None
 
-    def store(i, u, st):
+    def store(i, u):
         check_finite(u, "circuit output at t={t:.6e} s", times[i])
         outputs[i] = u
-        if record_states:
-            states[i] = st
 
     # a sample's output is the next step's first-stage solve (same state, same
     # previous root); only a sample on the last step needs a solve of its own.
@@ -237,14 +263,16 @@ def _integrate_network(
         t = k * dt
         u1, c1 = f(state, t, up, cp, k1)
         if k and k % sample_stride == 0:
-            store(k // sample_stride - 1, u1, state)
+            store(k // sample_stride - 1, u1)
         u2, c2 = f(state + half * k1, t + half, u1, c1, k2)
         u3, c3 = f(state + half * k2, t + half, u2, c2, k3)
         up, cp = f(state + dt * k3, t + dt, u3, c3, k4)
         state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if record_states:
+            states[k] = state
     t = n_steps * dt
     if n_steps and n_steps % sample_stride == 0:
-        store(n_samples - 1, f(state, t, up, cp, k1)[0], state)
+        store(n_samples - 1, f(state, t, up, cp, k1)[0])
     # NaN and +-inf in any of an oscillator's four states both show in the max
     check_finite(np.abs(state).max(axis=-1), "circuit state at t={t:.6e} s", t)
     if record_states:
@@ -296,8 +324,7 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float,
     s0 = np.zeros(1)
     return _integrate_network(
         q0, s0, np.zeros((1, 1)), 0.0, False, p, 1.0,
-        periods / f_ref, _SAMPLE_STRIDE, f_ref,
-        record_states=record_states,
+        periods / f_ref, f_ref, record_states=record_states,
     )
 
 
@@ -319,7 +346,7 @@ def _seeded_settle(p: OscParams, f_ref: float):
     times, outputs, _, states = _free_run_single(p, _CAL_PERIODS, f_ref, record_states=True)
     trace = CircuitTrace(times=times, outputs=outputs,
                          sync_flags=np.zeros(times.shape, dtype=bool))
-    i = _TABLE_START_PERIODS * DEFAULT_STEPS_PER_PERIOD // _SAMPLE_STRIDE - 1
+    i = _TABLE_START_PERIODS * DEFAULT_STEPS_PER_PERIOD - 1
     return measure_free_run_frequency(trace), states[i].copy()
 
 
@@ -353,12 +380,12 @@ def calibrated_params(f0: float) -> OscParams:
 
 @functools.cache
 def _limit_cycle_states(p: OscParams, f0: float) -> np.ndarray:
-    """(steps_per_period, 3) capacitor voltages over one steady period."""
+    """(DEFAULT_STEPS_PER_PERIOD, 3) capacitor voltages over one steady period."""
     # start from the settled state of calibration's run, record one period
     _, settled = _seeded_settle(p, f0)
     _, _, _, states = _integrate_network(
         settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
-        1.0 / f0, 1, f0, record_states=True,
+        1.0 / f0, f0, record_states=True,
     )
     table = states[:, 0, :3].copy()
     table.setflags(write=False)  # one cached array serves every caller
@@ -385,7 +412,9 @@ def _protocol_run(m: MachineConfig, sched, seeds):
 
     Each run's generator draws its initial phases, as on the phase backend,
     then its frequency jitter.  Returns (t_free, u_free, t_on, u_on) with
-    outputs shaped (samples, B, n).  The settle clock, and with it the SHIL
+    outputs shaped (samples, B, n).  Both intervals step at the machine's
+    rung, steps_per_period_for(m, p), which depends on no run, so batched and
+    one-at-a-time runs step alike.  The settle clock, and with it the SHIL
     source phase, restarts at zero at gate-on.
     """
     window = readout.DETECTOR_PERIODS
@@ -402,13 +431,14 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
     W = effective_weights(m)
     shil = resolve_shil_voltage(m, p)
+    spp = steps_per_period_for(m, p)
     t_free, u_free, final = _integrate_network(
         q0, s0, W, shil, False, p, rc_scale,
-        sched.free_run_periods / m.f0, _SAMPLE_STRIDE, m.f0,
+        sched.free_run_periods / m.f0, m.f0, spp,
     )
     t_on, u_on, _ = _integrate_network(
         final[..., :3], final[..., 3], W, shil, True, p, rc_scale,
-        sched.settle_periods / m.f0, _SAMPLE_STRIDE, m.f0,
+        sched.settle_periods / m.f0, m.f0, spp,
     )
     return t_free, u_free, t_on, u_on
 
@@ -434,7 +464,8 @@ def run_trace(m: MachineConfig, sched, seed) -> CircuitTrace:
     """
     seeds = np.random.SeedSequence(seed).spawn(1)
     t_free, u_free, t_on, u_on = _protocol_run(m, sched, seeds)
-    free_steps, dt = _step_grid(sched.free_run_periods / m.f0, m.f0)
+    spp = steps_per_period_for(m, calibrated_params(m.f0))
+    free_steps, dt = _step_grid(sched.free_run_periods / m.f0, m.f0, spp)
     times = np.concatenate([t_free, t_on + free_steps * dt])
     outputs = np.concatenate([u_free[:, 0, :], u_on[:, 0, :]], axis=0)
     flags = np.concatenate([np.zeros(len(t_free), bool), np.ones(len(t_on), bool)])

@@ -263,7 +263,7 @@ def test_criterion_08_circuit_fidelity():
     q0, s0 = phases_to_network_state(np.array([0.8, 2.1]), p, 3800.0)
     times, outputs, _ = _integrate_network(
         q0[None], s0[None], W, 0.25 * p.sat_level, True, p,
-        np.ones((1, 2)), 30.0 / 3800.0, 4, 3800.0,
+        np.ones((1, 2)), 30.0 / 3800.0, 3800.0,
     )
     i0 = int(len(times) * 0.7)
     t = times[i0:]

@@ -99,12 +99,15 @@ def test_circuit_step_count_matches_the_integrator(tracer, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(circuit_dynamics, "_make_output_solver", counting)
-    # 1.0025 free periods are 401 steps, which do not end on a sample
-    sched = RunSchedule(free_run_periods=1.0025, settle_periods=5.0)
+    # the machine steps at the base rung, the one the tracer reads; one period
+    # and one step of free interval is spp + 1 steps, which do not end on a sample
+    spp = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD
+    assert circuit_dynamics.steps_per_period_for(m, circuit_dynamics.calibrated_params(m.f0)) == spp
+    sched = RunSchedule(free_run_periods=1.0 + 1.0 / spp, settle_periods=5.0)
     seeds = run_seeds(3, 2)
     circuit_dynamics.run_readout_batch(m, sched, seeds)
     bound = inspect.signature(circuit_dynamics.run_readout_batch).bind(m, sched, seeds)
     run_steps, steps = tracer._run_readout_batch_work(bound)
-    assert steps == 401 + 2000
+    assert steps == (spp + 1) + 5 * spp
     assert divmod(len(calls), 4) == (steps, 1)
     assert run_steps == len(seeds) * steps

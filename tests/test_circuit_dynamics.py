@@ -22,7 +22,7 @@ from oscim.circuit_dynamics import (
 )
 from oscim.errors import SimulationDiverged
 from oscim.harness import RunSchedule, run_many, run_seeds
-from oscim.machine import build_machine
+from oscim.machine import build_machine, effective_weights
 from oscim.problems import Graph
 
 TWO_PI = 2 * np.pi
@@ -55,7 +55,7 @@ class TestOscillationCondition:
         q0 = np.full((1, 3), 1e-3)
         times, outputs, _ = _integrate_network(
             q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
-            25.0 / F0, 4, F0,
+            25.0 / F0, F0,
         )
         early = np.abs(outputs[: len(times) // 10, 0]).max()
         late = np.abs(outputs[-len(times) // 10:, 0]).max()
@@ -115,29 +115,34 @@ class TestDivergence:
     def test_names_first_non_finite_output_sample(self):
         q0 = np.zeros((2, 2, 3))
         q0[1, 0, 0] = np.nan  # run 1, oscillator 0, at t=0
-        # the first output sample lands after 4 of the 400 steps per period
+        # the first output sample lands at 1/SAMPLES_PER_PERIOD of a period on
+        # every rung: here 2 of the 200 steps per period
         with pytest.raises(SimulationDiverged,
                            match=r"t=2\.631579e-06 s \(run 1, oscillator 0\)"):
             _integrate_network(
                 q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
-                OscParams(), 1.0, 0.1 / F0, 4, F0,
+                OscParams(), 1.0, 0.1 / F0, F0,
             )
 
     def test_end_state_check_names_run_and_oscillator(self):
-        # 3 steps at stride 4 store no sample, so only the end-state check sees it
+        # fewer steps than one sample stride store no sample, so only the
+        # end-state check sees it
+        stride = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD // circuit_dynamics.SAMPLES_PER_PERIOD
         q0 = np.zeros((2, 2, 3))
         q0[1, 0, 0] = np.nan
         with pytest.raises(SimulationDiverged, match=r"non-finite circuit state at "
                                                      r"t=.* s \(run 1, oscillator 0\)"):
             _integrate_network(
                 q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
-                OscParams(), 1.0, 3.0 / (400 * F0), 4, F0,
+                OscParams(), 1.0,
+                (stride - 1) / (circuit_dynamics.DEFAULT_STEPS_PER_PERIOD * F0), F0,
             )
 
     def test_diverged_run_stops_at_its_first_sample(self, monkeypatch):
         # one NaN charge over a 50-period window: the run must stop at the
-        # first stored sample (4 RK4 steps of 4 solves, plus that sample's)
-        # instead of integrating all 20 000 steps before the check
+        # first stored sample (one stride of RK4 steps of 4 solves, plus that
+        # sample's) instead of integrating all 10 000 steps before the check
+        stride = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD // circuit_dynamics.SAMPLES_PER_PERIOD
         calls = []
         real = circuit_dynamics._make_output_solver
 
@@ -146,7 +151,7 @@ class TestDivergence:
 
             def wrapped(c, guess):
                 calls.append(1)
-                assert len(calls) <= 3 * 4 * 4, "integration went on past divergence"
+                assert len(calls) <= 3 * stride * 4, "integration went on past divergence"
                 return solve(c, guess)
 
             return wrapped
@@ -157,7 +162,7 @@ class TestDivergence:
         with pytest.raises(SimulationDiverged, match=r"\(run 0, oscillator 1\)"):
             _integrate_network(
                 q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
-                OscParams(), 1.0, 50.0 / F0, 4, F0,
+                OscParams(), 1.0, 50.0 / F0, F0,
             )
 
 
@@ -205,43 +210,130 @@ class TestFusedStage:
         rc_scale = np.array([[0.9, 1.0, 1.12], [1.05, 0.95, 1.2]])
         shil = 0.25 * p.sat_level
         dt = 1.0 / (F0 * circuit_dynamics.DEFAULT_STEPS_PER_PERIOD)
-        _, _, end = _integrate_network(q0, s0, W, shil, True, p, rc_scale, dt, 1, F0)
+        _, _, end = _integrate_network(q0, s0, W, shil, True, p, rc_scale, dt, F0)
         ref = reference_rk4_step(np.concatenate([q0, s0[..., None]], axis=-1),
                                  W, shil, p, rc_scale, F0, _make_output_solver(p))
         assert np.abs(end - ref).max() < 1e-12
 
 
+def triangle_settle(spp=None, monkeypatch=None):
+    """Settle (times, outputs) of the criterion-9 triangle, run_seeds(712, 4),
+    5 free + 15 settle periods, at the machine's own rung or a forced spp."""
+    if spp is not None:
+        monkeypatch.setattr(circuit_dynamics, "steps_per_period_for", lambda m, p: spp)
+    m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
+    sched = RunSchedule(free_run_periods=5.0, settle_periods=15.0)
+    _, _, t_on, u_on = _protocol_run(m, sched, run_seeds(712, 4))
+    return t_on, u_on
+
+
+def detector_values(times, outputs):
+    return readout.phase_detector(outputs[..., 1:], outputs[..., :1],
+                                  float(times[1] - times[0]), 1.0 / F0)
+
+
+@pytest.fixture(scope="module")
+def triangle_at_its_rung(params):
+    return triangle_settle()
+
+
 class TestPinnedTrajectory:
-    # settle outputs (V) of _protocol_run on the criterion-9 triangle,
-    # run_seeds(712, 4), 5 free + 15 settle periods, at samples 0, 499, 999
-    # and 1499 of 1500; rows are runs, columns oscillators.  Detector values
-    # saturate at +-1, so these voltages are the sharp check on the kernel.
+    # settle outputs (V) of triangle_settle at the triangle's rung (200 steps
+    # per period), at samples 0, 499, 999 and 1499 of 1500; rows are runs,
+    # columns oscillators.  Most detector values saturate at +-1, so these
+    # voltages are the sharp check on the kernel.
     PINNED = {
-        0: [[0.268278197091, 0.176517389246, -0.648304120564],
-            [1.540844798501, 1.542469276933, 1.031065947609],
-            [1.107035663759, 1.127273111349, -0.291325965951],
-            [1.796266465245, -1.925338505563, 0.355303932855]],
-        499: [[0.995668756763, -1.134437924731, 1.004214180191],
-              [0.180211546181, -0.928782304627, 1.382376659880],
-              [1.448824097781, -1.060401137304, 0.553802804485],
-              [1.242064357115, 0.553051755537, -1.082604025486]],
-        999: [[0.797821655337, -1.311031548201, 1.682193778361],
-              [-0.626703994842, 0.499763563336, 1.575195463777],
-              [1.279274902111, -1.719455767194, 1.521756190861],
-              [0.467315187011, 1.473204885732, -1.730776711677]],
-        1499: [[0.337710156103, -0.614593334949, 1.962044082944],
-               [-0.843982795481, 1.058083376793, 0.626215256705],
-               [0.816912638835, -1.111968251236, 2.139348047726],
-               [-0.386359800785, 2.161341425239, -2.059227580569]],
+        0: [[0.299324461107, 0.207787165609, -0.708480413005],
+            [1.540777364966, 1.562596127388, 1.004954670540],
+            [1.133447464155, 1.153550664834, -0.322733113974],
+            [1.811051758561, -1.944437586263, 0.355385564386]],
+        499: [[1.043160377647, -1.122799987309, 0.956209292210],
+              [0.194003814851, -0.952667583172, 1.367109369326],
+              [1.484987771959, -1.051021589804, 0.513522645705],
+              [1.279570617378, 0.524531323626, -1.082598293097]],
+        999: [[0.851406598293, -1.361255522439, 1.664801827945],
+              [-0.558256977713, 0.403708312809, 1.585453444831],
+              [1.317886486195, -1.751291950672, 1.505731707759],
+              [0.498520824169, 1.448267076353, -1.720501335911]],
+        1499: [[0.387513530312, -0.673984772386, 1.990216902756],
+               [-0.777274144943, 0.968380327146, 0.706142158617],
+               [0.851846980533, -1.152126935286, 2.154629403094],
+               [-0.358831773335, 2.142700427304, -2.053458783522]],
     }
 
-    def test_settle_outputs_match_pinned_values(self, params):
-        m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
-        sched = RunSchedule(free_run_periods=5.0, settle_periods=15.0)
-        _, _, _, u_on = _protocol_run(m, sched, run_seeds(712, 4))
+    def test_settle_outputs_match_pinned_values(self, triangle_at_its_rung):
+        _, u_on = triangle_at_its_rung
         assert u_on.shape == (1500, 4, 3)
         for i, values in self.PINNED.items():
             assert np.allclose(u_on[i], values, rtol=0.0, atol=1e-9), i
+
+
+K8 = Graph(n=8, edges=tuple((i, j, 1.0) for i in range(1, 9) for j in range(i + 1, 9)))
+
+
+class TestStepRungs:
+    def test_every_rung_stores_whole_samples(self):
+        assert circuit_dynamics.DEFAULT_STEPS_PER_PERIOD == circuit_dynamics.STEP_RUNGS[0]
+        assert list(circuit_dynamics.STEP_RUNGS) == sorted(circuit_dynamics.STEP_RUNGS)
+        for spp in circuit_dynamics.STEP_RUNGS:
+            assert spp % circuit_dynamics.SAMPLES_PER_PERIOD == 0, spp
+
+    @pytest.mark.parametrize("graph, scale, spp", [
+        (TRIANGLE, 0.2, 200),  # criterion 9, and the circuit tests' triangles
+        (Graph(n=2, edges=((1, 2, 1.0),)), 0.2, 200),
+        (Graph(n=2, edges=((1, 2, 1.0),)), 0.25, 200),  # demo 05
+        (K8, 6.0, 400),  # row sum 42: the summers are too stiff for 200
+    ], ids=["triangle", "edge", "edge-0.25", "K8-scale-6"])
+    def test_rule(self, params, graph, scale, spp):
+        m = build_machine(graph, global_scale=scale, f0=F0)
+        assert circuit_dynamics.steps_per_period_for(m, params) == spp
+
+
+class TestBelowStabilityFloor:
+    def test_triangle_diverges_at_100_steps(self, params):
+        # the summer lag alone puts |lambda|*h near 3.1 at 100 steps per
+        # period, past RK4's real-axis limit of about 2.785
+        m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
+        q0, s0 = phases_to_network_state(np.array([[0.3, 2.0, 4.1]]), params, F0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SimulationDiverged):
+            _integrate_network(
+                q0, s0, effective_weights(m),
+                circuit_dynamics.resolve_shil_voltage(m, params), True, params,
+                np.ones((1, 3)), 20.0 / F0, F0, spp=100,
+            )
+
+    def test_k8_at_scale_6_forced_to_200_reads_wrong_spins(self, params, monkeypatch):
+        # the rule gives this machine 400; at 200 the run stays finite but
+        # silently reads every spin +1
+        m = build_machine(K8, global_scale=6.0, f0=F0)
+        sched = RunSchedule(free_run_periods=5.0, settle_periods=5.0)
+        seeds = run_seeds(712, 2)[1:]
+        spins, resolved = circuit_dynamics.run_readout_batch(m, sched, seeds)
+        monkeypatch.setattr(circuit_dynamics, "steps_per_period_for", lambda m, p: 200)
+        forced, forced_resolved = circuit_dynamics.run_readout_batch(m, sched, seeds)
+        assert resolved.all() and forced_resolved.all()
+        assert (forced == 1).all()
+        assert not np.array_equal(spins, forced)
+
+
+class TestStepAccuracy:
+    def test_triangle_rung_matches_an_800_step_reference(self, triangle_at_its_rung,
+                                                         monkeypatch):
+        # RK4's error at 800 steps per period is 4^4 = 256 times smaller than
+        # at 200, so the 800-step run stands in for the exact trajectory.
+        # Run 1's second detector value (about 0.196) is unsaturated, so it
+        # shows the step error that the saturated +-1 values hide.
+        # Tolerances: 1e-5 on detector values, 1e-4 of the 0.1 dead-zone
+        # edge, and 2e-5 V on outputs; measured 2.2e-6 and 5.7e-6 V.
+        times, outputs = triangle_at_its_rung
+        values = detector_values(times, outputs)
+        ref_times, ref_outputs = triangle_settle(800, monkeypatch)
+        ref_values = detector_values(ref_times, ref_outputs)
+        assert np.array_equal(times, ref_times)
+        assert 0.15 < abs(values[1, 1]) < 0.25
+        assert np.abs(values - ref_values).max() < 1e-5
+        assert np.abs(outputs - ref_outputs).max() < 2e-5
 
 
 class TestFrequencyMeasurement:
@@ -293,7 +385,7 @@ class TestSettleReuse:
         _, _, settled = _free_run_single(params, 40.0, F0)
         _, _, _, states = _integrate_network(
             settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, params,
-            1.0, 1.0 / F0, 1, F0, record_states=True,
+            1.0, 1.0 / F0, F0, record_states=True,
         )
         assert np.array_equal(_limit_cycle_states(params, F0), states[:, 0, :3])
 
@@ -306,7 +398,7 @@ class TestAmplitude:
             q0 = rng.normal(0, 0.2 * params.sat_level * (seed), (1, 3))
             times, outputs, _ = _integrate_network(
                 q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
-                35.0 / F0, 4, F0,
+                35.0 / F0, F0,
             )
             trace = CircuitTrace(times=times, outputs=outputs[:, :],
                                  sync_flags=np.zeros(len(times), bool))
@@ -326,7 +418,7 @@ def locked_pair(params):
     q0, s0 = phases_to_network_state(theta0, params, F0)
     times, outputs, _ = _integrate_network(
         q0[None], s0[None], W, 0.25 * params.sat_level, True, params,
-        np.ones((1, 2)), 30.0 / F0, 4, F0,
+        np.ones((1, 2)), 30.0 / F0, F0,
     )
     return times, outputs[:, 0, :], w
 
@@ -381,18 +473,22 @@ class TestSimulateCircuit:
         _, u_free, _, u_on = _protocol_run(m, sched, run_seeds(3, 2))
         assert np.array_equal(trace.outputs, np.concatenate([u_free[:, 0], u_on[:, 0]]))
 
-    @pytest.mark.parametrize("free_periods, free_steps", [(1.0025, 401), (0.005, 2)])
+    @pytest.mark.parametrize("whole_periods", [1, 0])
     def test_settle_times_continue_from_the_end_of_the_free_interval(
-            self, params, free_periods, free_steps):
-        # neither free interval ends on a sample (every 4th step); the 2-step
-        # one has no free sample at all
+            self, params, whole_periods):
+        # a free interval one step past whole periods ends between samples
+        # (every stride-th step); the one-step one has no free sample at all
         m = build_machine(Graph(n=2, edges=((1, 2, 1.0),)), global_scale=0.2, f0=F0)
-        trace = run_trace(m, RunSchedule(free_run_periods=free_periods,
+        spp = circuit_dynamics.steps_per_period_for(m, params)
+        stride = spp // circuit_dynamics.SAMPLES_PER_PERIOD
+        assert stride > 1
+        free_steps = whole_periods * spp + 1
+        trace = run_trace(m, RunSchedule(free_run_periods=free_steps / spp,
                                          settle_periods=5.0), seed=2)
-        dt = 1.0 / (F0 * circuit_dynamics.DEFAULT_STEPS_PER_PERIOD)
-        assert int((~trace.sync_flags).sum()) == free_steps // 4
+        dt = 1.0 / (F0 * spp)
+        assert int((~trace.sync_flags).sum()) == free_steps // stride
         settle_times = trace.times[trace.sync_flags]
-        expected = (free_steps + 4 * np.arange(1, len(settle_times) + 1)) * dt
+        expected = (free_steps + stride * np.arange(1, len(settle_times) + 1)) * dt
         np.testing.assert_allclose(settle_times, expected, rtol=1e-12, atol=0)
 
 
@@ -403,12 +499,12 @@ class TestGateIndependence:
         q0 = rng.normal(0, 0.3, (1, 2, 3))
         s0 = np.zeros((1, 2))
         _, joint, _ = _integrate_network(
-            q0, s0, W, 0.5, False, params, 1.0, 10.0 / F0, 4, F0,
+            q0, s0, W, 0.5, False, params, 1.0, 10.0 / F0, F0,
         )
         for k in range(2):
             _, alone, _ = _integrate_network(
                 q0[:, k:k + 1, :], s0[:, k:k + 1], np.zeros((1, 1)), 0.0,
-                False, params, 1.0, 10.0 / F0, 4, F0,
+                False, params, 1.0, 10.0 / F0, F0,
             )
             assert np.allclose(joint[:, 0, k], alone[:, 0, 0], atol=1e-12)
 
