@@ -49,8 +49,9 @@ TWO_PI = 2.0 * np.pi
 # Stored output samples per period: the phase detector's fidelity
 SAMPLES_PER_PERIOD = 100
 # RK4 step counts a circuit run may use, each a multiple of SAMPLES_PER_PERIOD
-# so that every rung stores the same sample times.  Calibration and the
-# limit-cycle table use the first, DEFAULT_STEPS_PER_PERIOD.
+# so that every rung stores the same sample times.  The limit-cycle table uses
+# the first, DEFAULT_STEPS_PER_PERIOD; calibration's uncoupled run, whose
+# summer never leaves 0, steps on the sample grid (_free_run_single).
 STEP_RUNGS = (200, 400)
 DEFAULT_STEPS_PER_PERIOD = STEP_RUNGS[0]
 # largest |lambda|*h a rung may reach: a margin under RK4's real-axis
@@ -259,20 +260,23 @@ def _integrate_network(
     k1, k2, k3, k4 = (np.empty(state.shape) for _ in range(4))
     half = 0.5 * dt
     sixth = dt / 6.0
-    for k in range(n_steps):
-        t = k * dt
-        u1, c1 = f(state, t, up, cp, k1)
-        if k and k % sample_stride == 0:
-            store(k // sample_stride - 1, u1)
-        u2, c2 = f(state + half * k1, t + half, u1, c1, k2)
-        u3, c3 = f(state + half * k2, t + half, u2, c2, k3)
-        up, cp = f(state + dt * k3, t + dt, u3, c3, k4)
-        state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if record_states:
-            states[k] = state
-    t = n_steps * dt
-    if n_steps and n_steps % sample_stride == 0:
-        store(n_samples - 1, f(state, t, up, cp, k1)[0])
+    # a diverging run overflows to inf and then NaN on its way to the finite
+    # checks, which raise SimulationDiverged; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = k * dt
+            u1, c1 = f(state, t, up, cp, k1)
+            if k and k % sample_stride == 0:
+                store(k // sample_stride - 1, u1)
+            u2, c2 = f(state + half * k1, t + half, u1, c1, k2)
+            u3, c3 = f(state + half * k2, t + half, u2, c2, k3)
+            up, cp = f(state + dt * k3, t + dt, u3, c3, k4)
+            state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if record_states:
+                states[k] = state
+        t = n_steps * dt
+        if n_steps and n_steps % sample_stride == 0:
+            store(n_samples - 1, f(state, t, up, cp, k1)[0])
     # NaN and +-inf in any of an oscillator's four states both show in the max
     check_finite(np.abs(state).max(axis=-1), "circuit state at t={t:.6e} s", t)
     if record_states:
@@ -318,18 +322,26 @@ def steady_amplitude(trace: CircuitTrace) -> float:
 
 def _free_run_single(p: OscParams, periods: float, f_ref: float,
                      record_states: bool = False):
-    # deterministic seeded startup of one oscillator on a reference time base
+    """Seeded power-on run of one uncoupled oscillator, SAMPLES_PER_PERIOD steps
+    per period.
+
+    With no coupling, SHIL or sync, the summer state stays exactly 0, so its
+    SUMMER_RATIO/RC mode, which sets the protocol rungs, is never excited.  The
+    stiffest mode left is the saturated ladder at about 5/RC, |lambda|*h = 0.78
+    at this step, far inside RK4's limit.
+    """
     rng = np.random.default_rng(12345)
     q0 = rng.normal(0.0, 0.4 * p.sat_level, (1, 3))
     s0 = np.zeros(1)
     return _integrate_network(
         q0, s0, np.zeros((1, 1)), 0.0, False, p, 1.0,
-        periods / f_ref, f_ref, record_states=record_states,
+        periods / f_ref, f_ref, SAMPLES_PER_PERIOD, record_states=record_states,
     )
 
 
 def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
-    """Single free oscillator from a seeded power-on state."""
+    """Single free oscillator from a seeded power-on state, stepped on the
+    sample grid (_free_run_single)."""
     times, outputs, _ = _free_run_single(p, periods, f_ref)
     return CircuitTrace(times=times, outputs=outputs,
                         sync_flags=np.zeros(times.shape, dtype=bool))
@@ -341,12 +353,14 @@ def _seeded_settle(p: OscParams, f_ref: float):
 
     Calibration measures the frequency over _CAL_PERIODS periods; the state
     after the first _TABLE_START_PERIODS of that same run is where the
-    limit-cycle table starts, so a calibrated process settles once.
+    limit-cycle table starts, so a calibrated process settles once.  The run
+    steps SAMPLES_PER_PERIOD times per period; the table it seeds records its
+    period at DEFAULT_STEPS_PER_PERIOD.
     """
     times, outputs, _, states = _free_run_single(p, _CAL_PERIODS, f_ref, record_states=True)
     trace = CircuitTrace(times=times, outputs=outputs,
                          sync_flags=np.zeros(times.shape, dtype=bool))
-    i = _TABLE_START_PERIODS * DEFAULT_STEPS_PER_PERIOD - 1
+    i = _TABLE_START_PERIODS * SAMPLES_PER_PERIOD - 1
     return measure_free_run_frequency(trace), states[i].copy()
 
 

@@ -1,5 +1,7 @@
 """Circuit backend: startup, calibration, amplitude, sync response, locking."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from oscim.circuit_dynamics import (
     _limit_cycle_states,
     _make_output_solver,
     _protocol_run,
+    _seeded_settle,
     calibrate,
     calibrated_params,
     free_run_trace,
@@ -243,22 +246,22 @@ class TestPinnedTrajectory:
     # columns oscillators.  Most detector values saturate at +-1, so these
     # voltages are the sharp check on the kernel.
     PINNED = {
-        0: [[0.299324461107, 0.207787165609, -0.708480413005],
-            [1.540777364966, 1.562596127388, 1.004954670540],
-            [1.133447464155, 1.153550664834, -0.322733113974],
-            [1.811051758561, -1.944437586263, 0.355385564386]],
-        499: [[1.043160377647, -1.122799987309, 0.956209292210],
-              [0.194003814851, -0.952667583172, 1.367109369326],
-              [1.484987771959, -1.051021589804, 0.513522645705],
-              [1.279570617378, 0.524531323626, -1.082598293097]],
-        999: [[0.851406598293, -1.361255522439, 1.664801827945],
-              [-0.558256977713, 0.403708312809, 1.585453444831],
-              [1.317886486195, -1.751291950672, 1.505731707759],
-              [0.498520824169, 1.448267076353, -1.720501335911]],
-        1499: [[0.387513530312, -0.673984772386, 1.990216902756],
-               [-0.777274144943, 0.968380327146, 0.706142158617],
-               [0.851846980533, -1.152126935286, 2.154629403094],
-               [-0.358831773335, 2.142700427304, -2.053458783522]],
+        0: [[0.299262530291, 0.207724901479, -0.708419759065],
+            [1.540736919918, 1.562556570366, 1.005007665220],
+            [1.133394667602, 1.153498143988, -0.322670053606],
+            [1.811023185835, -1.944418713589, 0.355323538250]],
+        499: [[1.043086551488, -1.122812769737, 0.956279066630],
+              [0.193917196650, -0.952672563771, 1.367185649879],
+              [1.484915495349, -1.051040640793, 0.513603685333],
+              [1.279510291846, 0.524604295376, -1.082647177620]],
+        999: [[0.851328237348, -1.361181901625, 1.664823344765],
+              [-0.558344036026, 0.403794794592, 1.585489245342],
+              [1.317809278327, -1.751228744567, 1.505764189350],
+              [0.498454002554, 1.448329237050, -1.720536883599]],
+        1499: [[0.387443351718, -0.673901025716, 1.990177131951],
+               [-0.777355995743, 0.968474414506, 0.706077690881],
+               [0.851777113162, -1.152046787074, 2.154599271798],
+               [-0.358896707202, 2.142745460001, -2.053473882958]],
     }
 
     def test_settle_outputs_match_pinned_values(self, triangle_at_its_rung):
@@ -290,18 +293,29 @@ class TestStepRungs:
 
 
 class TestBelowStabilityFloor:
+    @staticmethod
+    def run_triangle_at_100_steps(params, sync_on):
+        m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
+        q0, s0 = phases_to_network_state(np.array([[0.3, 2.0, 4.1]]), params, F0)
+        _integrate_network(
+            q0, s0, effective_weights(m),
+            circuit_dynamics.resolve_shil_voltage(m, params), sync_on, params,
+            np.ones((1, 3)), 20.0 / F0, F0, spp=100,
+        )
+
     def test_triangle_diverges_at_100_steps(self, params):
         # the summer lag alone puts |lambda|*h near 3.1 at 100 steps per
         # period, past RK4's real-axis limit of about 2.785
-        m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
-        q0, s0 = phases_to_network_state(np.array([[0.3, 2.0, 4.1]]), params, F0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SimulationDiverged):
-            _integrate_network(
-                q0, s0, effective_weights(m),
-                circuit_dynamics.resolve_shil_voltage(m, params), True, params,
-                np.ones((1, 3)), 20.0 / F0, F0, spp=100,
-            )
+        with pytest.raises(SimulationDiverged):
+            self.run_triangle_at_100_steps(params, True)
+
+    @pytest.mark.parametrize("sync_on", [True, False], ids=["sync-on", "sync-off"])
+    def test_divergence_raises_without_numpy_warnings(self, params, sync_on):
+        # with sync off the outputs stay finite and the end-state check raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDiverged):
+                self.run_triangle_at_100_steps(params, sync_on)
 
     def test_k8_at_scale_6_forced_to_200_reads_wrong_spins(self, params, monkeypatch):
         # the rule gives this machine 400; at 200 the run stays finite but
@@ -388,6 +402,63 @@ class TestSettleReuse:
             1.0, 1.0 / F0, F0, record_states=True,
         )
         assert np.array_equal(_limit_cycle_states(params, F0), states[:, 0, :3])
+
+
+class TestCalibrationGrid:
+    def test_calibration_steps_on_the_sample_grid(self, monkeypatch):
+        # a fresh f0 builds its calibration and table here; each RK4 step makes
+        # four output solves and a run ending on a sample one more
+        calls = []
+        real = circuit_dynamics._make_output_solver
+
+        def counting(p):
+            solve = real(p)
+
+            def wrapped(c, guess):
+                calls.append(1)
+                return solve(c, guess)
+
+            return wrapped
+
+        monkeypatch.setattr(circuit_dynamics, "_make_output_solver", counting)
+        f0 = 3100.0
+        p = calibrated_params(f0)
+        # one seeded run, the analytic seed accepted: 50 periods at 100 steps
+        assert len(calls) == 4 * 50 * circuit_dynamics.SAMPLES_PER_PERIOD + 1 == 20001
+        calls.clear()
+        table = _limit_cycle_states(p, f0)
+        # one period at the base rung
+        spp = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD
+        assert len(calls) == 4 * spp + 1 == 801
+        assert table.shape == (spp, 3)
+
+    def test_free_run_matches_an_800_step_reference(self, params):
+        # calibration's seeded 50-period run at 100 steps per period against the
+        # same start at 800, whose RK4 error is 8^4 = 4096 times smaller.
+        # Tolerances are 3x the measured 8.3e-5 V on outputs, 1.65e-5 V on the
+        # state at period 40 and 1.4e-7 relative on the measured frequency.
+        q0 = np.random.default_rng(12345).normal(0.0, 0.4 * params.sat_level, (1, 3))
+
+        def free_run(spp):
+            times, outputs, _, states = _integrate_network(
+                q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
+                50.0 / F0, F0, spp, record_states=True,
+            )
+            trace = CircuitTrace(times=times, outputs=outputs,
+                                 sync_flags=np.zeros(len(times), bool))
+            return trace, states[40 * spp - 1]
+
+        trace, state = free_run(circuit_dynamics.SAMPLES_PER_PERIOD)
+        f_meas, settled = _seeded_settle(params, F0)
+        # the run above is calibration's own, bit for bit
+        assert measure_free_run_frequency(trace) == f_meas
+        assert np.array_equal(state, settled)
+        ref_trace, ref_state = free_run(800)
+        assert np.array_equal(trace.times, ref_trace.times)
+        assert np.abs(trace.outputs - ref_trace.outputs).max() < 2.5e-4
+        assert np.abs(state - ref_state).max() < 5e-5
+        f_ref = measure_free_run_frequency(ref_trace)
+        assert abs(f_meas - f_ref) / f_ref < 4.2e-7
 
 
 class TestAmplitude:
