@@ -22,10 +22,10 @@ The coupling sum is evaluated in the factored (mean-field) form
     sum_j K_ij sin(theta_i - theta_j)
         = sin(theta_i) (K cos theta)_i - cos(theta_i) (K sin theta)_i
 
-so a run costs n sines and n cosines plus two matrix-vector products
-instead of n^2 sines.  The products use ``np.einsum`` rather than ``@``:
-BLAS may order a batched product's sums differently from a single row's,
-which would break the bit-identity of batched and one-at-a-time runs.
+so a run costs n sines and n cosines (which also give sin 2theta) and two
+stacked ``np.matmul`` products, each one BLAS matrix-vector product per run
+on a C-contiguous (n, n) block of K: no run's sums depend on the batch or on
+K's layout, as one batch-wide GEMM's would (BLAS blocks it by batch size).
 
 All user-facing times are measured in periods; rates returned by
 ``phase_derivative`` are per radian time, i.e. multiply by 2*pi to get
@@ -80,8 +80,8 @@ def coupling_terms(m: MachineConfig) -> tuple[np.ndarray, float]:
 def _rhs(theta, K, Ks, delta):
     # theta (..., n); K (..., n, n); Ks, delta broadcastable
     s, c = np.sin(theta), np.cos(theta)
-    coup = s * np.einsum("...ij,...j->...i", K, c) - c * np.einsum("...ij,...j->...i", K, s)
-    return delta - coup - Ks * np.sin(2.0 * theta)
+    coup = s * np.matmul(K, c[..., None])[..., 0] - c * np.matmul(K, s[..., None])[..., 0]
+    return delta - coup - (2.0 * Ks) * (s * c)
 
 
 def _checked_phases(theta, m: MachineConfig) -> np.ndarray:
@@ -166,8 +166,9 @@ def integrate_batch(
     step, or misshapen noise, raises ValueError before the first step.  A
     non-finite sample raises SimulationDiverged as soon as it is stored.
 
-    The per-run arithmetic is identical whatever the batch size, so runs
-    executed together or one at a time produce bit-identical trajectories.
+    K is made C-contiguous, so each run's product is one row-major BLAS
+    matrix-vector product: runs together or one at a time, with K shared,
+    stacked or in any layout, give bit-identical trajectories.
     """
     n_steps = int(round(duration_periods * steps_per_period))
     if n_steps < 1:
@@ -183,6 +184,7 @@ def integrate_batch(
     sample_at[np.round(np.arange(1, n_samples + 1) * n_steps / n_samples).astype(int)] = True
     sample_at[n_steps] = True
     dt = 1.0 / steps_per_period
+    K = np.ascontiguousarray(K, dtype=float)
     check_finite(theta, _DIVERGED, 0.0)
     times = [0.0]
     samples = [theta]

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,14 @@ def _spin_chunks(n: int):
         yield 1 - 2 * bitvals.astype(np.int8)
 
 
+@functools.lru_cache(maxsize=1)
+def _low_spins(n_low: int) -> np.ndarray:
+    """First spin chunk of n_low <= _CHUNK_BITS spins as floats, read-only."""
+    low = next(_spin_chunks(n_low)).astype(float)
+    low.flags.writeable = False
+    return low
+
+
 def _check_enumerable(n: int):
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(
@@ -257,16 +266,15 @@ def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
     A = g.adjacency()
     margin = 8.0 * (g.n + len(g.edges)) * np.finfo(float).eps * float(np.abs(A).sum())
     n_low = min(_CHUNK_BITS, g.n - 1)
-    low = next(_spin_chunks(n_low))
-    low_f = low.astype(float)
-    low_q = np.einsum("ki,ki->k", low_f @ A[:n_low, :n_low], low_f)
+    low = _low_spins(n_low)
+    low_q = np.einsum("ki,ki->k", low @ A[:n_low, :n_low], low)
     best = -np.inf
     best_configs: set[tuple[int, ...]] = set()
     for high in np.concatenate(list(_spin_chunks(g.n - 1 - n_low))):
-        fixed = np.append(high, 1).astype(low.dtype)
-        q = low_q + low_f @ (2.0 * A[:n_low, n_low:] @ fixed)
+        fixed = np.append(high, 1).astype(np.int8)
+        q = low_q + low @ (2.0 * A[:n_low, n_low:] @ fixed)
         # a non-finite screen keeps every row (the comparison is False)
-        near = low[~(q > q.min() + margin)]
+        near = low[~(q > q.min() + margin)].astype(np.int8)
         spins = np.hstack((near, np.broadcast_to(fixed, (near.shape[0], fixed.size))))
         cuts = cut_values(g, spins)
         m = cuts.max() if cuts.size else 0.0

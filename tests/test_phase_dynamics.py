@@ -256,6 +256,20 @@ class TestBatchConsistency:
             _, single = integrate_batch(theta0[b:b + 1], K, Ks, np.zeros(3), 5.0)
             assert np.array_equal(batch[:, b, :], single[:, 0, :])
 
+    def test_noisy_protocol_run_at_benchmark_shape(self):
+        """32 noisy seeded runs on a 20-vertex dyadic-weight graph: each row is its seed alone."""
+        rng = np.random.default_rng(20)
+        edges = tuple((i + 1, j + 1, float(rng.integers(1, 9)) / 4.0)
+                      for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3)
+        m = build_machine(Graph(n=20, edges=edges), noise_sigma=0.05)
+        sched = RunSchedule()
+        seeds = run_seeds(16, 32)
+        times, batch = phase_protocol_run(m, sched, seeds)
+        for b, seed in enumerate(seeds):
+            t, single = phase_protocol_run(m, sched, [seed])
+            assert np.array_equal(t, times)
+            assert np.array_equal(single[:, 0, :], batch[:, b, :])
+
 
 def pairwise_rhs(theta, K, Ks, delta):
     """Reference derivative with the coupling summed over explicit pairs."""
@@ -286,6 +300,23 @@ class TestKernel:
             Kb = K[b:b + 1] if per_run_K else K
             assert np.array_equal(batch[b:b + 1], _rhs(theta[b:b + 1], Kb, 0.3, delta))
         assert np.abs(batch - pairwise_rhs(theta, K, 0.3, delta)).max() < 1e-12
+
+    def test_layout_does_not_change_bits(self):
+        n, B = 20, 8
+        rng = np.random.default_rng(7)
+        K = 0.1 * random_coupling(rng, n)
+        theta0 = rng.uniform(0, TWO_PI, (B, n))
+        delta = rng.normal(0, 0.01, n)
+        layouts = {
+            "C": K,
+            "Fortran": np.asfortranarray(K),
+            "broadcast view": np.broadcast_to(K, (B, n, n)),
+            "stacked copies": np.stack([K.copy() for _ in range(B)]),
+        }
+        runs = {name: integrate_batch(theta0, Kx, 0.2, delta, 10.0, steps_per_period=25)[1]
+                for name, Kx in layouts.items()}
+        for name, thetas in runs.items():
+            assert np.array_equal(thetas, runs["C"]), name
 
 
 class TestNoiseShape:

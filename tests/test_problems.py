@@ -7,6 +7,8 @@ from oscim.problems import (
     Graph,
     IsingProblem,
     Qubo,
+    _low_spins,
+    _spin_chunks,
     brute_force_ground_states,
     brute_force_max_cut,
     cut_value,
@@ -219,6 +221,15 @@ class TestBruteForce:
             )
             g = Graph(n=n, edges=edges)
             assert brute_force_max_cut(g) == self.full_enumeration(g)
+
+    def test_low_spin_block_is_cached_read_only(self):
+        g = random_graph(18, np.random.default_rng(3))
+        first = brute_force_max_cut(g)
+        low = _low_spins(16)
+        assert _low_spins(16) is low and not low.flags.writeable
+        assert _low_spins.cache_info().currsize == 1
+        assert np.array_equal(low, next(_spin_chunks(16)))
+        assert brute_force_max_cut(g) == first
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_no_edges(self, n):
