@@ -11,7 +11,6 @@ from .machine import (
     CouplingMatrix,
     MachineConfig,
     Quantizer,
-    ShilConfig,
     build_coupling,
     build_machine,
     effective_weights,
@@ -46,7 +45,6 @@ __all__ = [
     "brute_force_ground_states",
     "Quantizer",
     "CouplingMatrix",
-    "ShilConfig",
     "MachineConfig",
     "build_coupling",
     "build_machine",

@@ -42,9 +42,7 @@ import numpy as np
 from . import readout
 from .errors import check_finite
 from .machine import MachineConfig, effective_weights
-from .phase_dynamics import random_initial_phases
-
-TWO_PI = 2.0 * np.pi
+from .phase_dynamics import TWO_PI, random_initial_phases
 
 # Stored output samples per period: the phase detector's fidelity
 SAMPLES_PER_PERIOD = 100
@@ -286,7 +284,7 @@ def _integrate_network(
 
 def resolve_shil_voltage(m: MachineConfig, p: OscParams) -> float:
     """SHIL source amplitude in volts; unset machine amplitudes use the default."""
-    units = DEFAULT_SHIL_UNITS if m.shil.amplitude is None else float(m.shil.amplitude)
+    units = DEFAULT_SHIL_UNITS if m.shil_amplitude is None else float(m.shil_amplitude)
     return units * p.sat_level
 
 
@@ -320,10 +318,9 @@ def steady_amplitude(trace: CircuitTrace) -> float:
     return float(tail.max() - tail.min())
 
 
-def _free_run_single(p: OscParams, periods: float, f_ref: float,
-                     record_states: bool = False):
+def _free_run_single(p: OscParams, periods: float, f_ref: float):
     """Seeded power-on run of one uncoupled oscillator, SAMPLES_PER_PERIOD steps
-    per period.
+    per period, with its states after every step recorded.
 
     With no coupling, SHIL or sync, the summer state stays exactly 0, so its
     SUMMER_RATIO/RC mode, which sets the protocol rungs, is never excited.  The
@@ -335,14 +332,14 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float,
     s0 = np.zeros(1)
     return _integrate_network(
         q0, s0, np.zeros((1, 1)), 0.0, False, p, 1.0,
-        periods / f_ref, f_ref, SAMPLES_PER_PERIOD, record_states=record_states,
+        periods / f_ref, f_ref, SAMPLES_PER_PERIOD, record_states=True,
     )
 
 
 def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
     """Single free oscillator from a seeded power-on state, stepped on the
     sample grid (_free_run_single)."""
-    times, outputs, _ = _free_run_single(p, periods, f_ref)
+    times, outputs, _, _ = _free_run_single(p, periods, f_ref)
     return CircuitTrace(times=times, outputs=outputs,
                         sync_flags=np.zeros(times.shape, dtype=bool))
 
@@ -357,7 +354,7 @@ def _seeded_settle(p: OscParams, f_ref: float):
     steps SAMPLES_PER_PERIOD times per period; the table it seeds records its
     period at DEFAULT_STEPS_PER_PERIOD.
     """
-    times, outputs, _, states = _free_run_single(p, _CAL_PERIODS, f_ref, record_states=True)
+    times, outputs, _, states = _free_run_single(p, _CAL_PERIODS, f_ref)
     trace = CircuitTrace(times=times, outputs=outputs,
                          sync_flags=np.zeros(times.shape, dtype=bool))
     i = _TABLE_START_PERIODS * SAMPLES_PER_PERIOD - 1

@@ -38,7 +38,6 @@ from .machine import (
     DEFAULT_F0_HZ,
     DEFAULT_GLOBAL_SCALE,
     Quantizer,
-    ShilConfig,
     build_machine,
     resolve_shil_strength,
 )
@@ -57,13 +56,12 @@ def _load_graph(path: str) -> Graph:
 
 
 def _machine_for(args, g: Graph):
-    shil = ShilConfig(amplitude=args.shil)
     quantizer = Quantizer(bits=args.bits)
     return build_machine(
         g,
         global_scale=args.coupling,
         quantizer=quantizer,
-        shil=shil,
+        shil_amplitude=args.shil,
         f0=args.f0,
         noise_sigma=args.noise,
     )
@@ -86,7 +84,7 @@ def _config_echo(args, g: Graph, m) -> dict:
             "f0_hz": m.f0,
             "global_scale": m.global_scale,
             "quantizer_bits": m.coupling.quantizer.bits,
-            "shil_amplitude": m.shil.amplitude,
+            "shil_amplitude": m.shil_amplitude,
             "shil_strength_resolved": resolve_shil_strength(m),
             "noise_sigma": m.noise_sigma,
             "detuning": list(m.detuning),
@@ -188,13 +186,11 @@ def cmd_convert(args) -> int:
     if isinstance(problem, Qubo):
         converted = qubo_to_ising(problem)
         out_doc = ising_to_document(converted)
-        offset = converted.offset
     else:
         converted = ising_to_qubo(problem)
         out_doc = qubo_to_document(converted)
-        offset = converted.offset
     _emit(out_doc, args.out)
-    sys.stderr.write(f"energy offset {_fmt_num(offset)}\n")
+    sys.stderr.write(f"energy offset {_fmt_num(converted.offset)}\n")
     return 0
 
 

@@ -217,19 +217,6 @@ def phase_protocol_run(
     )
 
 
-def _phase_run_batch(m: MachineConfig, sched: RunSchedule, seeds):
-    """(spins, resolved, locks) of a batch of seeded phase-backend runs."""
-    times, thetas = phase_protocol_run(m, sched, seeds)
-    spins, resolved = spins_from_phases(thetas[-1])
-    return spins, resolved, lock_period(times, thetas)
-
-
-def _circuit_run_batch(m: MachineConfig, sched: RunSchedule, seeds):
-    """(spins, resolved, locks) of a batch of seeded circuit-backend runs."""
-    spins, resolved = circuit.run_readout_batch(m, sched, seeds)
-    return spins, resolved, [None] * len(seeds)
-
-
 def run_many(
     g: Graph,
     m: MachineConfig,
@@ -257,11 +244,17 @@ def run_many(
     sched = sched or RunSchedule()
     optimum, _ = oracle_max_cut(g)
     seeds = run_seeds(seed, runs)
-    batch_fn = _phase_run_batch if backend == "phase" else _circuit_run_batch
     batches = [seeds] if parallel else [[s] for s in seeds]
     results = []
     for batch in batches:
-        results.extend(_run_results(g, optimum, *batch_fn(m, sched, batch)))
+        if backend == "phase":
+            times, thetas = phase_protocol_run(m, sched, batch)
+            spins, resolved = spins_from_phases(thetas[-1])
+            locks = lock_period(times, thetas)
+        else:
+            spins, resolved = circuit.run_readout_batch(m, sched, batch)
+            locks = [None] * len(batch)
+        results.extend(_run_results(g, optimum, spins, resolved, locks))
     return _aggregate(results)
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import Graph
+from .problems import Graph, freeze_array
 
 DEFAULT_F0_HZ = 3800.0
 DEFAULT_GLOBAL_SCALE = 0.2
 DEFAULT_QUANTIZER_BITS = 10
 
-# SHIL injection strength used when ShilConfig.amplitude is left unset:
+# SHIL injection strength used when shil_amplitude is left unset:
 # a fixed dimensionless strength, capped at a fraction of the largest
 # coupling row sum.  The cap keeps a sparsely coupled machine (in the
 # limit, a single pair) far from the regime where SHIL stabilizes the
@@ -44,11 +44,12 @@ class Quantizer:
     def max_code(self) -> int:
         return (1 << self.bits) - 1
 
-    def quantize(self, w: float) -> int:
-        """Weight in [0, 1] -> integer code, ties rounded half-up."""
-        if not 0.0 <= w <= 1.0:
+    def quantize(self, w):
+        """Weights in [0, 1] -> integer codes, ties rounded half-up, elementwise."""
+        w = np.asarray(w, dtype=float)
+        if not np.all((0.0 <= w) & (w <= 1.0)):
             raise ValueError(f"weight {w} outside [0, 1]")
-        return int(np.floor(w * self.max_code + 0.5))
+        return np.floor(w * self.max_code + 0.5).astype(int)
 
     def dequantize(self, code: int) -> float:
         if not 0 <= code <= self.max_code:
@@ -66,10 +67,8 @@ class CouplingMatrix:
     quantizer: Quantizer = field(default_factory=Quantizer)
 
     def __post_init__(self):
-        codes = np.array(self.codes, dtype=int)
-        signs = np.array(self.signs, dtype=int)
-        if codes.shape != (self.n, self.n) or signs.shape != (self.n, self.n):
-            raise ValueError("codes and signs must be n x n")
+        codes = freeze_array(self, "codes", (self.n, self.n), int)
+        signs = freeze_array(self, "signs", (self.n, self.n), int)
         if codes.min() < 0 or codes.max() > self.quantizer.max_code:
             raise ValueError(f"codes must lie in [0, {self.quantizer.max_code}]")
         if not np.isin(signs, (-1, 0, 1)).all():
@@ -78,37 +77,20 @@ class CouplingMatrix:
             raise ValueError("no self-coupling: diagonal must be zero")
         if not (np.array_equal(codes, codes.T) and np.array_equal(signs, signs.T)):
             raise ValueError("coupling planes must be symmetric")
-        codes.setflags(write=False)
-        signs.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "signs", signs)
-
-
-@dataclass(frozen=True)
-class ShilConfig:
-    """Second-harmonic injection source, always at twice the oscillator frequency.
-
-    ``amplitude`` is the dimensionless injection strength; leave it None to
-    use the per-problem default rule (see ``resolve_shil_strength``).
-    """
-
-    amplitude: float | None = None
-
-    def __post_init__(self):
-        if self.amplitude is not None and not np.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
-        if self.amplitude is not None and self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
 
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Complete machine state shared by both dynamics backends."""
+    """Complete machine state shared by both dynamics backends.
 
-    n: int
+    ``shil_amplitude`` is the dimensionless strength of the second-harmonic
+    source (always at twice the oscillator frequency); leave it None to use
+    the per-problem default rule (see ``resolve_shil_strength``).
+    """
+
     coupling: CouplingMatrix
     global_scale: float = DEFAULT_GLOBAL_SCALE
-    shil: ShilConfig = field(default_factory=ShilConfig)
+    shil_amplitude: float | None = None
     sync_enabled: bool = False
     f0: float = DEFAULT_F0_HZ
     detuning: tuple[float, ...] = ()
@@ -117,17 +99,15 @@ class MachineConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two oscillators")
-        if self.coupling.n != self.n:
-            raise ValueError("coupling matrix size does not match oscillator count")
-        for name in ("f0", "global_scale", "noise_sigma"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("f0", "global_scale", "noise_sigma", "shil_amplitude"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.f0 <= 0:
             raise ValueError("f0 must be positive")
-        if self.global_scale < 0:
-            raise ValueError("global_scale must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        for name in ("global_scale", "noise_sigma", "shil_amplitude"):
+            if (getattr(self, name) or 0.0) < 0:
+                raise ValueError(f"{name} must be >= 0")
         det = tuple(float(d) for d in (self.detuning or (0.0,) * self.n))
         if len(det) != self.n:
             raise ValueError("detuning must list one offset per oscillator")
@@ -138,6 +118,10 @@ class MachineConfig:
             raise ValueError(f"detuning must be > -1, got {det}")
         object.__setattr__(self, "detuning", det)
 
+    @property
+    def n(self) -> int:
+        return self.coupling.n
+
 
 def build_coupling(g: Graph, quantizer: Quantizer | None = None) -> CouplingMatrix:
     """Quantize a graph's weights into code/sign planes.
@@ -146,37 +130,28 @@ def build_coupling(g: Graph, quantizer: Quantizer | None = None) -> CouplingMatr
     range; negative weights go through the sign plane.
     """
     q = quantizer or Quantizer()
-    n = g.n
-    codes = np.zeros((n, n), dtype=int)
-    signs = np.zeros((n, n), dtype=int)
-    if g.edges:
-        wmax = max(abs(w) for _, _, w in g.edges)
-        for u, v, w in g.edges:
-            if w == 0.0:
-                continue
-            code = q.quantize(abs(w) / wmax)
-            sign = 1 if w > 0 else -1
-            codes[u - 1, v - 1] = codes[v - 1, u - 1] = code
-            signs[u - 1, v - 1] = signs[v - 1, u - 1] = sign
-    return CouplingMatrix(n=n, codes=codes, signs=signs, quantizer=q)
+    a = g.adjacency()
+    mags = np.abs(a)
+    # zero weights, and a graph whose weights are all zero, keep code 0
+    mags = np.divide(mags, mags.max(), out=np.zeros_like(mags), where=mags > 0)
+    return CouplingMatrix(n=g.n, codes=q.quantize(mags), signs=np.sign(a).astype(int),
+                          quantizer=q)
 
 
 def build_machine(
     g: Graph,
     global_scale: float = DEFAULT_GLOBAL_SCALE,
     quantizer: Quantizer | None = None,
-    shil: ShilConfig | None = None,
+    shil_amplitude: float | None = None,
     f0: float = DEFAULT_F0_HZ,
     detuning: tuple[float, ...] = (),
     noise_sigma: float = 0.0,
 ) -> MachineConfig:
     """Machine sized for the given graph, sync initially off (protocol step 1)."""
-    coupling = build_coupling(g, quantizer)
     return MachineConfig(
-        n=g.n,
-        coupling=coupling,
+        coupling=build_coupling(g, quantizer),
         global_scale=global_scale,
-        shil=shil or ShilConfig(),
+        shil_amplitude=shil_amplitude,
         sync_enabled=False,
         f0=f0,
         detuning=detuning,
@@ -203,8 +178,8 @@ def resolve_shil_strength(m: MachineConfig) -> float:
     unprogrammed machine (all weights zero) keeps the full default so SHIL
     alone still binarizes the phases.
     """
-    if m.shil.amplitude is not None:
-        return float(m.shil.amplitude)
+    if m.shil_amplitude is not None:
+        return float(m.shil_amplitude)
     rowsum = float(np.abs(effective_weights(m)).sum(axis=1).max())
     if rowsum == 0.0:
         return DEFAULT_SHIL_STRENGTH

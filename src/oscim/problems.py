@@ -43,6 +43,16 @@ def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, floa
     return u, v, w
 
 
+def freeze_array(obj, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """Set a frozen dataclass field to a read-only dtype copy of the given shape."""
+    a = np.array(getattr(obj, name), dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected edge-weighted graph with 1-indexed vertices 1..n.
@@ -84,22 +94,14 @@ class IsingProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        J = np.array(self.J, dtype=float)
-        h = np.array(self.h, dtype=float)
-        if J.shape != (self.n, self.n):
-            raise ValueError(f"J must be {self.n}x{self.n}, got {J.shape}")
-        if h.shape != (self.n,):
-            raise ValueError(f"h must have length {self.n}, got {h.shape}")
+        J = freeze_array(self, "J", (self.n, self.n))
+        h = freeze_array(self, "h", (self.n,))
         if not (np.isfinite(J).all() and np.isfinite(h).all() and np.isfinite(self.offset)):
             raise ValueError("J, h, offset must be finite")
         if np.any(np.diag(J) != 0.0):
             raise ValueError("J must have zero diagonal")
         if not np.array_equal(J, J.T):
             raise ValueError("J must be symmetric")
-        J.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True)
@@ -115,15 +117,11 @@ class Qubo:
     offset: float = 0.0
 
     def __post_init__(self):
-        Q = np.array(self.Q, dtype=float)
-        if Q.shape != (self.n, self.n):
-            raise ValueError(f"Q must be {self.n}x{self.n}, got {Q.shape}")
+        Q = freeze_array(self, "Q", (self.n, self.n))
         if not (np.isfinite(Q).all() and np.isfinite(self.offset)):
             raise ValueError("Q and offset must be finite")
         if np.any(np.tril(Q, -1) != 0.0):
             raise ValueError("Q must be upper-triangular (zeros below the diagonal)")
-        Q.setflags(write=False)
-        object.__setattr__(self, "Q", Q)
 
 
 def validate_spins(spins, n: int) -> np.ndarray:
@@ -179,40 +177,25 @@ def qubo_to_ising(q: Qubo) -> IsingProblem:
     """Exact affine conversion with x = (1 + s)/2.
 
     Energies agree for every assignment: energy(result, s) == qubo_value(q, x(s)).
+    h_i subtracts its pair terms Q_ij/4 in column order and the offset adds them
+    in row-major order, so the bits equal those of a double loop over i < j.
     """
-    n = q.n
-    J = np.zeros((n, n))
-    h = np.zeros(n)
-    offset = q.offset
     diag = np.diag(q.Q)
-    h -= diag / 2.0
-    offset += float(diag.sum()) / 2.0
     upper = np.triu(q.Q, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            qij = upper[i, j]
-            if qij == 0.0:
-                continue
-            J[i, j] -= qij / 4.0
-            J[j, i] -= qij / 4.0
-            h[i] -= qij / 4.0
-            h[j] -= qij / 4.0
-            offset += qij / 4.0
-    return IsingProblem(n=n, J=J, h=h, offset=offset)
+    quarter = (upper + upper.T) / 4.0
+    h = np.subtract.reduce(np.column_stack([0.0 - diag / 2.0, quarter]), axis=1)
+    terms = np.concatenate([[q.offset + float(diag.sum()) / 2.0], upper[upper != 0.0] / 4.0])
+    offset = float(np.add.accumulate(terms)[-1])
+    return IsingProblem(n=q.n, J=0.0 - quarter, h=h, offset=offset)
 
 
 def ising_to_qubo(p: IsingProblem) -> Qubo:
     """Inverse conversion (s = 2x - 1); round-trips preserve energies exactly."""
-    n = p.n
-    Q = np.zeros((n, n))
-    row_sums = p.J.sum(axis=1)  # sum over partners; diagonal is zero
-    for i in range(n):
-        Q[i, i] = 2.0 * row_sums[i] - 2.0 * p.h[i]
-        for j in range(i + 1, n):
-            Q[i, j] = -4.0 * p.J[i, j]
+    Q = np.triu(-4.0 * p.J, 1)
+    np.fill_diagonal(Q, 2.0 * p.J.sum(axis=1) - 2.0 * p.h)  # J's diagonal is zero
     tri_sum = 0.5 * float(p.J.sum())
     offset = p.offset - tri_sum + float(p.h.sum())
-    return Qubo(n=n, Q=Q, offset=offset)
+    return Qubo(n=p.n, Q=Q, offset=offset)
 
 
 def _spin_chunks(n: int):

@@ -396,7 +396,7 @@ class TestSettleReuse:
     def test_table_equals_independent_settle(self, params):
         # the table starts from calibration's run after 40 periods; a separate
         # 40-period settle from the same seeded start must give the same bits
-        _, _, settled = _free_run_single(params, 40.0, F0)
+        _, _, settled, _ = _free_run_single(params, 40.0, F0)
         _, _, _, states = _integrate_network(
             settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, params,
             1.0, 1.0 / F0, F0, record_states=True,

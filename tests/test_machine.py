@@ -8,7 +8,6 @@ from oscim.machine import (
     CouplingMatrix,
     MachineConfig,
     Quantizer,
-    ShilConfig,
     build_coupling,
     build_machine,
     effective_weights,
@@ -86,6 +85,79 @@ class TestBuildCoupling:
         assert int((c.codes > 0).sum()) == 56
 
 
+def _reference_coupling(g, q):
+    """Code and sign planes filled one edge at a time with scalar quantizer calls."""
+    codes = np.zeros((g.n, g.n), dtype=int)
+    signs = np.zeros((g.n, g.n), dtype=int)
+    if g.edges:
+        wmax = max(abs(w) for _, _, w in g.edges)
+        for u, v, w in g.edges:
+            if w == 0.0:
+                continue
+            code = int(np.floor(abs(w) / wmax * q.max_code + 0.5))
+            codes[u - 1, v - 1] = codes[v - 1, u - 1] = code
+            signs[u - 1, v - 1] = signs[v - 1, u - 1] = 1 if w > 0 else -1
+    return codes, signs
+
+
+def _awkward_graph(rng, n):
+    """Random graph with non-dyadic, negative, +0.0 and -0.0 weights."""
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            r = rng.random()
+            if r < 0.4:
+                continue
+            w = 0.0 if r < 0.5 else -0.0 if r < 0.55 else rng.uniform(-3.0, 3.0) / 7.0
+            edges.append((u, v, float(w)))
+    return Graph(n=n, edges=tuple(edges))
+
+
+class TestCouplingPlanesBits:
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_planes_equal_per_edge_reference(self, bits):
+        rng = np.random.default_rng(700 + bits)
+        q = Quantizer(bits=bits)
+        for n in (2, 3, 5, 8, 13, 20):
+            g = _awkward_graph(rng, n)
+            c = build_coupling(g, q)
+            codes, signs = _reference_coupling(g, q)
+            assert c.codes.dtype == codes.dtype and c.signs.dtype == signs.dtype
+            assert np.array_equal(c.codes, codes) and np.array_equal(c.signs, signs)
+
+    def test_all_zero_weights(self):
+        g = Graph(n=4, edges=((1, 2, 0.0), (2, 3, -0.0), (1, 4, 0.0)))
+        c = build_coupling(g)
+        assert not c.codes.any() and not c.signs.any()
+
+    def test_planes_are_read_only(self):
+        c = build_coupling(Graph(n=3, edges=((1, 2, 0.5),)))
+        assert not c.codes.flags.writeable and not c.signs.flags.writeable
+
+
+class TestQuantizerArrays:
+    @pytest.mark.parametrize("bits", [1, 4, 10, 16])
+    def test_array_equals_scalar_calls(self, bits):
+        q = Quantizer(bits=bits)
+        w = np.random.default_rng(bits).random((6, 7))
+        w[0, :3] = (0.0, 1.0, 0.5)
+        codes = q.quantize(w)
+        assert codes.shape == w.shape
+        assert codes.tolist() == [[q.quantize(float(x)) for x in row] for row in w]
+
+    def test_array_ties_round_half_up(self):
+        # w * max_code lands exactly on 0.5 or 1.5: half-up, not half-to-even
+        assert Quantizer(bits=1).quantize([0.0, 0.5, 1.0]).tolist() == [0, 1, 1]
+        assert Quantizer(bits=2).quantize(np.array([[0.5, 1 / 6]])).tolist() == [[2, 1]]
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1e-300, float("nan")])
+    def test_rejects_one_entry_out_of_range(self, bad):
+        w = np.linspace(0.0, 1.0, 9)
+        w[4] = bad
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            Quantizer().quantize(w)
+
+
 class TestCouplingMatrixInvariants:
     def test_rejects_nonzero_diagonal(self):
         codes = np.zeros((2, 2), int)
@@ -117,7 +189,24 @@ class TestMachineConfigValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_shil_amplitude_rejected(self, value):
         with pytest.raises(ValueError, match="amplitude must be finite"):
-            ShilConfig(amplitude=value)
+            build_machine(self.EDGE, shil_amplitude=value)
+
+    @pytest.mark.parametrize("value", [-1e-300, -0.5, float("-inf")])
+    def test_negative_shil_amplitude_rejected(self, value):
+        with pytest.raises(ValueError, match="amplitude must be"):
+            build_machine(self.EDGE, shil_amplitude=value)
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_shil_amplitude_checked_by_the_config_itself(self, value):
+        c = build_coupling(self.EDGE)
+        with pytest.raises(ValueError, match="amplitude must be"):
+            MachineConfig(coupling=c, shil_amplitude=value)
+
+    def test_oscillator_count_follows_the_coupling(self):
+        m = build_machine(Graph(n=5, edges=((1, 4, 1.0),)))
+        assert m.n == m.coupling.n == 5
+        with pytest.raises(ValueError, match="at least two"):
+            MachineConfig(coupling=build_coupling(Graph(n=1, edges=())))
 
     @pytest.mark.parametrize("value", [-1.0, -1.5])
     def test_detuning_at_or_below_minus_one_rejected(self, value):
@@ -139,7 +228,7 @@ class TestEffectiveWeights:
         codes = np.array([[0, 307], [307, 0]])
         signs = np.array([[0, -1], [-1, 0]])
         c = CouplingMatrix(n=2, codes=codes, signs=signs)
-        m = MachineConfig(n=2, coupling=c, global_scale=0.5)
+        m = MachineConfig(coupling=c, global_scale=0.5)
         assert effective_weights(m)[0, 1] == pytest.approx(-0.150049, abs=1e-6)
 
     def test_symmetry_and_zero_diagonal(self):
@@ -176,12 +265,12 @@ class TestSyncGate:
 class TestShilResolution:
     def test_explicit_amplitude_passes_through(self):
         g = Graph(n=2, edges=((1, 2, 1.0),))
-        m = build_machine(g, shil=ShilConfig(amplitude=0.42))
+        m = build_machine(g, shil_amplitude=0.42)
         assert resolve_shil_strength(m) == 0.42
 
     def test_disabled_shil_is_zero(self):
         g = Graph(n=2, edges=((1, 2, 1.0),))
-        m = build_machine(g, shil=ShilConfig(amplitude=0.0))
+        m = build_machine(g, shil_amplitude=0.0)
         assert resolve_shil_strength(m) == 0.0
         assert resolve_shil_voltage(m, OscParams()) == 0.0
 

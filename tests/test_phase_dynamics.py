@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscim.errors import SimulationDiverged
-from oscim.machine import ShilConfig, build_machine, set_sync
+from oscim.machine import build_machine, set_sync
 from oscim.phase_dynamics import (
     DEFAULT_STEPS_PER_PERIOD,
     STEP_RUNGS,
@@ -45,13 +45,13 @@ class TestPhaseDerivative:
     def test_quarter_phase_magnitude(self):
         # theta = (0, pi/2), weight 0.2: coupling term magnitude 0.2 per
         # radian time; sign pushes the pair apart (antiphase stabilizing).
-        m = machine_on(global_scale=0.2, shil=ShilConfig(amplitude=0.0))
+        m = machine_on(global_scale=0.2, shil_amplitude=0.0)
         d = phase_derivative(np.array([0.0, np.pi / 2]), m)
         assert d[0] == pytest.approx(-0.2, abs=1e-12)
         assert d[1] == pytest.approx(0.2, abs=1e-12)
 
     def test_positive_weight_destabilizes_in_phase(self):
-        m = machine_on(global_scale=0.2, shil=ShilConfig(amplitude=0.0))
+        m = machine_on(global_scale=0.2, shil_amplitude=0.0)
         eps = 0.01
         d = phase_derivative(np.array([0.0, eps]), m)
         # the small phase gap must widen
@@ -102,7 +102,7 @@ class TestStep:
 
     def test_rk4_convergence_order(self):
         # halving dt should shrink the global error ~16x over a fixed horizon
-        m = machine_on(global_scale=0.3, shil=ShilConfig(amplitude=0.2))
+        m = machine_on(global_scale=0.3, shil_amplitude=0.2)
         theta0 = [0.7, 2.9]
         _, ref = rk4_run(m, theta0, steps_per_period=3200)
         err1 = np.abs(rk4_run(m, theta0, steps_per_period=100)[1] - ref).max()
@@ -204,7 +204,7 @@ class TestRandomInitialPhases:
 class TestSimulate:
     def test_constant_without_coupling_or_shil(self):
         g = Graph(n=2, edges=())
-        m = set_sync(build_machine(g, shil=ShilConfig(amplitude=0.0)), True)
+        m = set_sync(build_machine(g, shil_amplitude=0.0), True)
         init = np.array([0.4, 1.9])
         _, thetas = simulate(m, init, duration_periods=3.0)
         assert np.allclose(thetas[-1], init, atol=1e-12)

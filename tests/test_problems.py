@@ -313,3 +313,92 @@ class TestQuboConversions:
     def test_rejects_lower_triangle(self):
         with pytest.raises(ValueError, match="upper-triangular"):
             Qubo(n=2, Q=[[1.0, 0.0], [0.5, 1.0]])
+
+
+def _reference_qubo_to_ising(q):
+    """The conversion as scalar loops, one pair term at a time."""
+    n = q.n
+    J = np.zeros((n, n))
+    h = np.zeros(n)
+    offset = q.offset
+    diag = np.diag(q.Q)
+    h -= diag / 2.0
+    offset += float(diag.sum()) / 2.0
+    upper = np.triu(q.Q, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            qij = upper[i, j]
+            if qij == 0.0:
+                continue
+            J[i, j] -= qij / 4.0
+            J[j, i] -= qij / 4.0
+            h[i] -= qij / 4.0
+            h[j] -= qij / 4.0
+            offset += qij / 4.0
+    return J, h, offset
+
+
+def _reference_ising_to_qubo(p):
+    """The inverse conversion as scalar loops."""
+    n = p.n
+    Q = np.zeros((n, n))
+    row_sums = p.J.sum(axis=1)
+    for i in range(n):
+        Q[i, i] = 2.0 * row_sums[i] - 2.0 * p.h[i]
+        for j in range(i + 1, n):
+            Q[i, j] = -4.0 * p.J[i, j]
+    offset = p.offset - 0.5 * float(p.J.sum()) + float(p.h.sum())
+    return Q, offset
+
+
+def _awkward_values(rng, shape):
+    """Non-dyadic values from 1e-3 to 1e5 in magnitude, with +0.0 and -0.0."""
+    v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 5, shape) / 3.0
+    kind = rng.random(shape)
+    v[kind < 0.25] = 0.0
+    v[(kind >= 0.25) & (kind < 0.35)] = -0.0
+    return v
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestConversionBits:
+    """The array conversions equal the scalar loops bit for bit, signed zeros too."""
+
+    CASES = 240
+
+    def test_qubo_to_ising_bits(self):
+        rng = np.random.default_rng(2401)
+        for k in range(self.CASES):
+            n = 1 + k % 40
+            Q = np.triu(_awkward_values(rng, (n, n)))
+            Q[np.tril_indices(n, -1)] = rng.choice([0.0, -0.0], n * (n - 1) // 2)
+            q = Qubo(n=n, Q=Q, offset=float(_awkward_values(rng, 1)[0]))
+            p = qubo_to_ising(q)
+            J, h, offset = _reference_qubo_to_ising(q)
+            assert _bits(p.J) == _bits(J), k
+            assert _bits(p.h) == _bits(h), k
+            assert _bits(p.offset) == _bits(offset), k
+
+    def test_ising_to_qubo_bits(self):
+        rng = np.random.default_rng(2402)
+        for k in range(self.CASES):
+            n = 1 + k % 40
+            J = np.triu(_awkward_values(rng, (n, n)), 1)
+            J = J + J.T
+            zeros = np.nonzero(J == 0.0)
+            J[zeros] = rng.choice([0.0, -0.0], len(zeros[0]))  # signed zeros on either side
+            p = IsingProblem(n=n, J=J, h=_awkward_values(rng, n),
+                             offset=float(_awkward_values(rng, 1)[0]))
+            q = ising_to_qubo(p)
+            Q, offset = _reference_ising_to_qubo(p)
+            assert _bits(q.Q) == _bits(Q), k
+            assert _bits(q.offset) == _bits(offset), k
+
+    def test_negative_zeros_survive(self):
+        # a zero coupling becomes a -0.0 QUBO entry, as the convert command prints it
+        q = ising_to_qubo(IsingProblem(n=3, J=np.zeros((3, 3)), h=np.zeros(3)))
+        assert np.signbit(q.Q[np.triu_indices(3, 1)]).all()
+        assert not np.signbit(np.tril(q.Q)).any()
