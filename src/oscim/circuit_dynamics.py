@@ -422,11 +422,11 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     """Seeded protocol runs on the circuit backend, free interval then settle.
 
     Each run's generator draws its initial phases, as on the phase backend,
-    then its frequency jitter.  Returns (t_free, u_free, t_on, u_on) with
-    outputs shaped (samples, B, n).  Both intervals step at the machine's
-    rung, steps_per_period_for(m, p), which depends on no run, so batched and
-    one-at-a-time runs step alike.  The settle clock, and with it the SHIL
-    source phase, restarts at zero at gate-on.
+    then its frequency jitter.  Returns (t_free, u_free, t_on, u_on, t_gate):
+    outputs are (samples, B, n), and t_gate ends the free interval on the step
+    grid.  Both intervals step at the rung steps_per_period_for(m, p), which
+    depends on no run, so batched and one-at-a-time runs step alike.  The
+    settle clock, and with it the SHIL source phase, restarts at zero at gate-on.
     """
     window = readout.DETECTOR_PERIODS
     if sched.settle_periods < window:
@@ -451,7 +451,8 @@ def _protocol_run(m: MachineConfig, sched, seeds):
         final[..., :3], final[..., 3], W, shil, True, p, rc_scale,
         sched.settle_periods / m.f0, m.f0, spp,
     )
-    return t_free, u_free, t_on, u_on
+    free_steps, dt = _step_grid(sched.free_run_periods / m.f0, m.f0, spp)
+    return t_free, u_free, t_on, u_on, free_steps * dt
 
 
 def run_readout_batch(m: MachineConfig, sched, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +462,7 @@ def run_readout_batch(m: MachineConfig, sched, seeds) -> tuple[np.ndarray, np.nd
     through multiplier/limited-integrator detectors against oscillator 1,
     all n-1 detectors of all runs in one call.
     """
-    _, _, times, outputs = _protocol_run(m, sched, seeds)
+    _, _, times, outputs, _ = _protocol_run(m, sched, seeds)
     dt = float(times[1] - times[0])
     values = readout.phase_detector(outputs[..., 1:], outputs[..., :1], dt, 1.0 / m.f0)
     return readout.spins_from_detectors(values)
@@ -474,10 +475,8 @@ def run_trace(m: MachineConfig, sched, seed) -> CircuitTrace:
     are shown continuing from the end of the free interval.
     """
     seeds = np.random.SeedSequence(seed).spawn(1)
-    t_free, u_free, t_on, u_on = _protocol_run(m, sched, seeds)
-    spp = steps_per_period_for(m, calibrated_params(m.f0))
-    free_steps, dt = _step_grid(sched.free_run_periods / m.f0, m.f0, spp)
-    times = np.concatenate([t_free, t_on + free_steps * dt])
+    t_free, u_free, t_on, u_on, t_gate = _protocol_run(m, sched, seeds)
+    times = np.concatenate([t_free, t_on + t_gate])
     outputs = np.concatenate([u_free[:, 0, :], u_on[:, 0, :]], axis=0)
     flags = np.concatenate([np.zeros(len(t_free), bool), np.ones(len(t_on), bool)])
     return CircuitTrace(times=times, outputs=outputs, sync_flags=flags)

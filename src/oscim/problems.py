@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,8 @@ import numpy as np
 MAX_BRUTE_FORCE_N = 24
 
 _CHUNK_BITS = 16
+# one screening tile of brute_force_max_cut holds at most 2^_TILE_BITS q entries
+_TILE_BITS = 16
 
 
 def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, float]:
@@ -44,8 +45,18 @@ def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, floa
 
 
 def freeze_array(obj, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """Set a frozen dataclass field to a read-only dtype copy of the given shape."""
-    a = np.array(getattr(obj, name), dtype=dtype)
+    """Set a frozen dataclass field to a read-only dtype copy of the given shape.
+
+    An int field takes whole numbers only (1.0 passes, 1.7 does not), since
+    the conversion would truncate them.
+    """
+    value = getattr(obj, name)
+    if dtype is int:
+        f = np.asarray(value, dtype=float)
+        whole = np.isfinite(f) & (f == np.trunc(f))
+        if not whole.all():
+            raise ValueError(f"{name} must hold whole numbers, got {float(f[~whole][0])}")
+    a = np.array(value, dtype=dtype)
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     a.setflags(write=False)
@@ -198,27 +209,22 @@ def ising_to_qubo(p: IsingProblem) -> Qubo:
     return Qubo(n=p.n, Q=Q, offset=offset)
 
 
-def _spin_chunks(n: int):
-    """Yield spin blocks covering all 2^n configurations, in counting order.
+def _spin_rows(start: int, stop: int, n: int) -> np.ndarray:
+    """Rows start..stop-1 of the counting order over n spins, as int8.
 
-    Row k of the whole sequence has spin i = +1 if bit i of k is 0 else -1,
-    so row 0 is all +1.
+    Row k has spin i = +1 if bit i of k is 0 else -1, so row 0 is all +1.
     """
+    k = np.arange(start, stop, dtype=np.uint32)
+    bitvals = (k[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
+    return 1 - 2 * bitvals.astype(np.int8)
+
+
+def _spin_chunks(n: int):
+    """Yield spin blocks covering all 2^n configurations, in counting order."""
     total = 1 << n
     step = 1 << min(_CHUNK_BITS, n)
-    bits = np.arange(n, dtype=np.uint32)
     for start in range(0, total, step):
-        k = np.arange(start, min(start + step, total), dtype=np.uint32)
-        bitvals = (k[:, None] >> bits[None, :]) & 1
-        yield 1 - 2 * bitvals.astype(np.int8)
-
-
-@functools.lru_cache(maxsize=1)
-def _low_spins(n_low: int) -> np.ndarray:
-    """First spin chunk of n_low <= _CHUNK_BITS spins as floats, read-only."""
-    low = next(_spin_chunks(n_low)).astype(float)
-    low.flags.writeable = False
-    return low
+        yield _spin_rows(start, min(start + step, total), n)
 
 
 def _check_enumerable(n: int):
@@ -228,48 +234,74 @@ def _check_enumerable(n: int):
         )
 
 
+def _screened_spins(g: Graph) -> np.ndarray:
+    """Configurations with the last spin +1 that may hold the maximum cut.
+
+    The screen ranks configurations by q = s^T A s, since cut = (W - q/2)/2.
+    The n-1 free spins split into a low block of a = n // 2 spins and a high
+    block of the rest plus the fixed last spin (Horowitz and Sahni's split
+    enumeration), so q = high_q[h] + low_q[l] + l.C[:, h] with C = 2 A_lh h^T.
+    A tile of at most 2^_TILE_BITS entries of q is one matrix product, whose
+    two extra columns carry high_q and low_q.  The screen keeps each entry
+    within ``margin`` of the running minimum, and at the end drops those
+    above the final minimum plus ``margin``.
+
+    Why ``margin`` is safe: each of the three parts sums at most n + 1
+    products of a spin and an entry of A, and adding them rounds twice more,
+    so the screen's q is off by at most about (n + 3) eps/2 sum|A|.  The
+    edge-order sum adds m weights, so a cut is off by at most about
+    m eps/2 sum|w| = m eps/4 sum|A|, and q = 2W - 4 cut turns the errors of
+    two cuts into 2m eps sum|A|.  So the q of an edge-order maximizer lies
+    within (2m + n + 3) eps sum|A| of the screen's minimum, well inside
+    ``margin``; the running minimum never falls below the final one, so no
+    tile drops it either.
+    """
+    A = g.adjacency()
+    margin = 8.0 * (g.n + len(g.edges)) * np.finfo(float).eps * float(np.abs(A).sum())
+    a = g.n // 2
+    b = g.n - 1 - a
+    low = _spin_rows(0, 1 << a, a)
+    high = np.hstack((_spin_rows(0, 1 << b, b), np.ones((1 << b, 1), np.int8)))
+    low_f, high_f = low.astype(float), high.astype(float)
+    low_q = np.einsum("ki,ki->k", low_f @ A[:a, :a], low_f)
+    high_q = np.einsum("ki,ki->k", high_f @ A[a:, a:], high_f)
+    # q[h, l] = high_q[h] + low_q[l] + l.C[:, h] as one product per tile
+    lows = np.vstack((low_f.T, low_q, np.ones(1 << a)))
+    highs = np.column_stack((high_f @ (2.0 * A[a:, :a]), np.ones(1 << b), high_q))
+    rows = max(1, (1 << _TILE_BITS) >> a)
+    floor = np.inf
+    kept = []  # (q, flat index h * 2^a + l) of each tile's survivors
+    for j in range(0, 1 << b, rows):
+        q = (highs[j:j + rows] @ lows).ravel()
+        floor = min(floor, q.min())
+        # a non-finite screen keeps its entries (the comparison is False)
+        idx = np.flatnonzero(~(q > floor + margin))
+        kept.append((q[idx], idx + (j << a)))
+    q, idx = (np.concatenate(parts) for parts in zip(*kept))
+    hi, li = np.divmod(idx[~(q > floor + margin)], 1 << a)
+    return np.hstack((low[li], high[hi]))
+
+
 def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
     """Exact max-cut by enumeration: (optimum, all maximizing spin configs).
 
     A cut is invariant under global spin flip, and a configuration and its
     flip sum the same edge terms in the same order, so only the half with
     the last spin +1 is enumerated; each maximizer's flip is added to the
-    set, which is therefore closed under global spin flip.
-
-    Each chunk is screened with matrix products, cut = (W - s^T A s / 2)/2:
-    the low spins' term of q = s^T A s is computed once, and a chunk, which
-    fixes the remaining spins, adds one matrix-vector product (a chunk-wide
-    constant does not change the ranking).  Only configurations whose q is
-    within ``margin`` of the chunk minimum are scored again by the edge-order
-    sum, which alone decides the optimum and the maximizers.  ``margin``
-    bounds the rounding of both sums (n-term dot products, m edges), so the
-    screen never drops a configuration that the edge-order sum ranks first.
+    set, which is therefore closed under global spin flip.  Only the
+    configurations that survive ``_screened_spins`` are scored by the
+    edge-order sum, which alone decides the optimum and the maximizers.
     """
     _check_enumerable(g.n)
-    A = g.adjacency()
-    margin = 8.0 * (g.n + len(g.edges)) * np.finfo(float).eps * float(np.abs(A).sum())
-    n_low = min(_CHUNK_BITS, g.n - 1)
-    low = _low_spins(n_low)
-    low_q = np.einsum("ki,ki->k", low @ A[:n_low, :n_low], low)
-    best = -np.inf
-    best_configs: set[tuple[int, ...]] = set()
-    for high in np.concatenate(list(_spin_chunks(g.n - 1 - n_low))):
-        fixed = np.append(high, 1).astype(np.int8)
-        q = low_q + low @ (2.0 * A[:n_low, n_low:] @ fixed)
-        # a non-finite screen keeps every row (the comparison is False)
-        near = low[~(q > q.min() + margin)].astype(np.int8)
-        spins = np.hstack((near, np.broadcast_to(fixed, (near.shape[0], fixed.size))))
-        cuts = cut_values(g, spins)
-        m = cuts.max() if cuts.size else 0.0
-        if m > best:
-            best = m
-            best_configs = set()
-        if m == best:
-            for k in np.nonzero(cuts == best)[0]:
-                cfg = tuple(int(x) for x in spins[k])
-                best_configs.add(cfg)
-                best_configs.add(tuple(-x for x in cfg))
-    return float(best), best_configs
+    spins = _screened_spins(g)
+    cuts = cut_values(g, spins)
+    best = cuts.max()
+    top = spins[cuts == best]
+    configs: set[tuple[int, ...]] = set()
+    for part in np.array_split(top, len(top) // 4096 + 1):  # bounds tolist()'s lists
+        configs.update(map(tuple, part.tolist()))
+        configs.update(map(tuple, (-part).tolist()))
+    return float(best), configs
 
 
 def brute_force_ground_states(p: IsingProblem) -> tuple[float, set[tuple[int, ...]]]:

@@ -226,7 +226,7 @@ def triangle_settle(spp=None, monkeypatch=None):
         monkeypatch.setattr(circuit_dynamics, "steps_per_period_for", lambda m, p: spp)
     m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
     sched = RunSchedule(free_run_periods=5.0, settle_periods=15.0)
-    _, _, t_on, u_on = _protocol_run(m, sched, run_seeds(712, 4))
+    _, _, t_on, u_on, _ = _protocol_run(m, sched, run_seeds(712, 4))
     return t_on, u_on
 
 
@@ -541,7 +541,7 @@ class TestSimulateCircuit:
         m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
         sched = RunSchedule(free_run_periods=5.25, settle_periods=10.0)
         trace = run_trace(m, sched, seed=3)
-        _, u_free, _, u_on = _protocol_run(m, sched, run_seeds(3, 2))
+        _, u_free, _, u_on, _ = _protocol_run(m, sched, run_seeds(3, 2))
         assert np.array_equal(trace.outputs, np.concatenate([u_free[:, 0], u_on[:, 0]]))
 
     @pytest.mark.parametrize("whole_periods", [1, 0])

@@ -171,6 +171,20 @@ class TestCouplingMatrixInvariants:
         with pytest.raises(ValueError, match="symmetric"):
             CouplingMatrix(n=2, codes=codes, signs=np.zeros((2, 2), int))
 
+    @pytest.mark.parametrize("field, bad", [("codes", 1.7), ("signs", 1.9),
+                                            ("signs", float("nan"))])
+    def test_rejects_entries_that_are_not_whole(self, field, bad):
+        # int conversion would truncate 1.9 to a valid sign +1
+        planes = {"codes": np.zeros((2, 2)), "signs": np.zeros((2, 2))}
+        planes[field][0, 1] = planes[field][1, 0] = bad
+        with pytest.raises(ValueError, match=f"{field} must hold whole numbers, got {bad}"):
+            CouplingMatrix(n=2, **planes)
+
+    def test_accepts_whole_floats(self):
+        c = CouplingMatrix(n=2, codes=[[0.0, 3.0], [3.0, 0.0]], signs=[[0, -1.0], [-1.0, 0]])
+        assert c.codes.dtype == c.signs.dtype == int
+        assert (c.codes[0, 1], c.signs[0, 1]) == (3, -1)
+
 
 class TestMachineConfigValidation:
     EDGE = Graph(n=2, edges=((1, 2, 1.0),))

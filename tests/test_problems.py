@@ -1,5 +1,8 @@
 """Problem core: mappings, energies, conversions, enumeration oracles."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,7 @@ from oscim.problems import (
     Graph,
     IsingProblem,
     Qubo,
-    _low_spins,
-    _spin_chunks,
+    _TILE_BITS,
     brute_force_ground_states,
     brute_force_max_cut,
     cut_value,
@@ -206,13 +208,13 @@ class TestBruteForce:
             g = random_graph(n, rng, p=0.6, dyadic=False)
             assert brute_force_max_cut(g) == self.full_enumeration(g)
 
-    @pytest.mark.parametrize("chunk_bits", [16, 3])
+    @pytest.mark.parametrize("tile_bits", [_TILE_BITS, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_screen_keeps_near_ties(self, seed, chunk_bits, monkeypatch):
+    def test_screen_keeps_near_ties(self, seed, tile_bits, monkeypatch):
         # decimal weights make many cuts tie up to rounding (0.1 + 0.2 != 0.3),
         # where the screen's sums and the edge-order sums can rank differently;
-        # small chunks make every graph span several chunks
-        monkeypatch.setattr("oscim.problems._CHUNK_BITS", chunk_bits)
+        # 3-bit tiles (one high row each here) make every graph span many tiles
+        monkeypatch.setattr("oscim.problems._TILE_BITS", tile_bits)
         rng = np.random.default_rng(100 + seed)
         for n in range(3, 10):
             edges = tuple(
@@ -222,14 +224,55 @@ class TestBruteForce:
             g = Graph(n=n, edges=edges)
             assert brute_force_max_cut(g) == self.full_enumeration(g)
 
-    def test_low_spin_block_is_cached_read_only(self):
-        g = random_graph(18, np.random.default_rng(3))
-        first = brute_force_max_cut(g)
-        low = _low_spins(16)
-        assert _low_spins(16) is low and not low.flags.writeable
-        assert _low_spins.cache_info().currsize == 1
-        assert np.array_equal(low, next(_spin_chunks(16)))
-        assert brute_force_max_cut(g) == first
+    @pytest.mark.parametrize("tile_bits", [_TILE_BITS, 3])
+    def test_floor_found_in_the_last_tile_drops_earlier_survivors(self, tile_bits,
+                                                                  monkeypatch):
+        # a star on the last vertex with weights 2^k: q falls with every step of
+        # the counting order, so at tile_bits 3 each of the 16 tiles (one high
+        # row each) keeps its own minimum, and only the last holds the maximizer
+        monkeypatch.setattr("oscim.problems._TILE_BITS", tile_bits)
+        scored = []
+
+        def spy(g, spins):
+            scored.append(len(spins))
+            return cut_values(g, spins)
+
+        monkeypatch.setattr("oscim.problems.cut_values", spy)
+        n = 9
+        g = Graph(n=n, edges=tuple((v, n, float(2 ** (v - 1))) for v in range(1, n)))
+        best = (-1,) * (n - 1) + (1,)
+        assert brute_force_max_cut(g) == (255.0, {best, tuple(-x for x in best)})
+        assert brute_force_max_cut(g) == self.full_enumeration(g)
+        assert scored == [1, 1]
+
+    def test_memory_is_bounded_and_released(self):
+        g = random_graph(20, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            brute_force_max_cut(g)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert retained < 100_000
+
+    @pytest.mark.parametrize("n, weights, digest", [
+        (21, (0.1, 0.2, 0.3), "53dcad73580b49ef159105c2755014f0fec388423fc9f4ae781ead70662e0ec6"),
+        (22, (1.0,), "eebc61e95ee1a1d5efe8bdf329f814604e10650cd08f64655f84bbfd407de33b"),
+        (23, (1.0,), "da9824ceb1113f66472be2be3920a45dff79d25829c4d536282fd868a6799764"),
+        (24, (0.1, 0.2, 0.3), "109216404f40d646bcd669ea4bce447df470fd06aab9d2215c132c07a0c5bbc5"),
+    ])
+    def test_answers_pinned_at_the_enumeration_limit(self, n, weights, digest):
+        # digests of (optimum, sorted maximizers) recorded from the chunked
+        # enumeration the split one replaced; odd and even n - 1 give both split
+        # shapes, and the decimal weights leave ties to rounding
+        rng = np.random.default_rng(2400 + n)
+        edges = tuple((u, v, float(rng.choice(weights)))
+                      for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                      if rng.random() < 0.25)
+        opt, configs = brute_force_max_cut(Graph(n=n, edges=edges))
+        text = repr((opt, sorted(configs)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_no_edges(self, n):
@@ -264,6 +307,20 @@ class TestGroundStates:
             opt, cut_configs = brute_force_max_cut(g)
             _, ground_configs = brute_force_ground_states(graph_to_ising(g))
             assert cut_configs == ground_configs
+
+    @pytest.mark.parametrize("chunk_bits", [16, 3])
+    def test_equals_full_enumeration(self, chunk_bits, monkeypatch):
+        # 3-bit chunks make every problem above n = 3 span several chunks;
+        # half-integer couplings and fields keep every energy exact
+        monkeypatch.setattr("oscim.problems._CHUNK_BITS", chunk_bits)
+        rng = np.random.default_rng(12)
+        for n in range(1, 8):
+            J = np.triu(rng.integers(-2, 3, (n, n)) / 2.0, 1)
+            p = IsingProblem(n=n, J=J + J.T, h=rng.integers(-2, 3, n) / 2.0)
+            energies = {tuple(int(x) for x in s): energy(p, s) for s in all_spin_configs(n)}
+            emin = min(energies.values())
+            ground = {cfg for cfg, e in energies.items() if e == emin}
+            assert brute_force_ground_states(p) == (emin, ground)
 
 
 class TestQuboConversions:
