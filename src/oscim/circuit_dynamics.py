@@ -3,7 +3,7 @@
 Each oscillator is a saturating inverting amplifier closing a loop around a
 three-stage series-C / shunt-R high-pass ladder.  The amplifier output
 
-    u = sat(gain * (-sync_gain * sync_in - v3))
+    u = sat(GAIN * (-SYNC_GAIN * sync_in - v3))
 
 is resolved algebraically each evaluation (the residual is strictly
 monotone in u, so a safeguarded Newton iteration converges to the unique
@@ -31,11 +31,10 @@ outright, at which point the network just follows the forcing.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -56,6 +55,13 @@ DEFAULT_STEPS_PER_PERIOD = STEP_RUNGS[0]
 # stability limit of about 2.785
 _STABILITY_BOUND = 2.0
 GAIN_THRESHOLD = 29.0
+# Fixed parts of every oscillator: mild clipping, a 4 Vpp steady swing (about
+# 1.3x SAT_LEVEL) and a sync attenuation that keeps coupling drives in the
+# injection-locking regime.  Calibration sets only the ladder resistor R.
+CAPACITANCE = 1.0e-8  # farads
+GAIN = 33.0
+SAT_LEVEL = 3.08  # volts
+SYNC_GAIN = 0.03
 
 # Summer-lag corner sits SUMMER_RATIO times above the ladder corner 1/(RC).
 SUMMER_RATIO = 20.0
@@ -71,17 +77,16 @@ _NEWTON_ITERS = 8
 _BISECT_ITERS = 45
 _RESIDUAL_TOL = 1e-11
 
-# calibrate: relative frequency tolerance and number of R*C refinements
+# calibrated_params: largest relative error of the measured frequency
 _CAL_TOLERANCE = 0.005
-_CAL_MAX_ITERS = 5
 # calibration's seeded free run: its length, and the period after which it
 # is on the limit cycle the state table is cut from
 _CAL_PERIODS = 50.0
 _TABLE_START_PERIODS = 40
 
 
-def _make_output_solver(p: "OscParams"):
-    """Solver for u = sat(gain*(c - u)) with c = drive + Q, sat(x) = L*tanh(x/L).
+def _solve_output(c, guess):
+    """Solve u = sat(GAIN*(c - u)) with c = drive + Q, sat(x) = L*tanh(x/L), L = SAT_LEVEL.
 
     The residual u - sat(...) is strictly increasing in u, so the root is
     unique and bracketed by the saturation rails.  _integrate_network starts
@@ -93,59 +98,44 @@ def _make_output_solver(p: "OscParams"):
     element's result is independent of the others in the batch.  A NaN
     residual never counts as converged, so a NaN input gives a NaN output.
     """
-    G = p.gain
-    L = p.sat_level
-    g_over_l = G / L
-    one_plus_g = 1.0 + G
-
-    def solve(c, guess):
-        u = np.minimum(np.maximum(guess, -L), L)
-        for it in range(_NEWTON_ITERS + 1):
-            t = np.tanh((c - u) * g_over_l)
-            fu = u - L * t
-            err = np.abs(fu)
-            if np.maximum.reduce(err, axis=None) < _RESIDUAL_TOL:  # False on NaN
-                return u
-            if it == _NEWTON_ITERS:
-                break
-            # converged elements take a zero step, so they stay put; the step
-            # is a convex combination of u and L*t, so it never leaves [-L, L]
-            u = u - np.where(err < _RESIDUAL_TOL, 0.0, fu) / (one_plus_g - G * t * t)
-        # bisection on [-L, L] for the elements Newton left unconverged; the
-        # brackets start as 0*fu +- L so a NaN residual carries into the result
-        hi = 0.0 * fu + L
-        lo = hi - 2.0 * L
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            above = mid - L * np.tanh((c - mid) * g_over_l) > 0
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        return np.where(err < _RESIDUAL_TOL, u, 0.5 * (lo + hi))
-
-    return solve
+    L = SAT_LEVEL
+    g_over_l = GAIN / L
+    u = np.minimum(np.maximum(guess, -L), L)
+    for it in range(_NEWTON_ITERS + 1):
+        t = np.tanh((c - u) * g_over_l)
+        fu = u - L * t
+        err = np.abs(fu)
+        if np.maximum.reduce(err, axis=None) < _RESIDUAL_TOL:  # False on NaN
+            return u
+        if it == _NEWTON_ITERS:
+            break
+        # converged elements take a zero step, so they stay put; the step
+        # is a convex combination of u and L*t, so it never leaves [-L, L]
+        u = u - np.where(err < _RESIDUAL_TOL, 0.0, fu) / (1.0 + GAIN - GAIN * t * t)
+    # bisection on [-L, L] for the elements Newton left unconverged; the
+    # brackets start as 0*fu +- L so a NaN residual carries into the result
+    hi = 0.0 * fu + L
+    lo = hi - 2.0 * L
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        above = mid - L * np.tanh((c - mid) * g_over_l) > 0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.where(err < _RESIDUAL_TOL, u, 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
 class OscParams:
-    """Component values of one phase-shift oscillator.
-
-    Defaults are tuned for the machine's nominal operating point: mild
-    clipping (gain 33), a 4 Vpp steady swing, and a sync attenuation that
-    keeps realistic coupling drives in the injection-locking regime rather
-    than overdriving the amplifier.
-    """
+    """The ladder resistor of one phase-shift oscillator, the one component
+    calibration sets; the others are the module's fixed values."""
 
     R: float = 1709.0  # ohms
-    C: float = 1.0e-8  # farads
-    gain: float = 33.0
-    sat_level: float = 3.08  # volts; steady output swing is ~1.3x this
-    sync_gain: float = 0.03
+    C: ClassVar[float] = CAPACITANCE
+    sat_level: ClassVar[float] = SAT_LEVEL
 
     def __post_init__(self):
-        if self.R <= 0 or self.C <= 0 or self.sat_level <= 0:
-            raise ValueError("R, C, sat_level must be positive")
-        if self.gain <= GAIN_THRESHOLD:
-            raise ValueError(f"gain must exceed {GAIN_THRESHOLD} for oscillation")
+        if self.R <= 0:
+            raise ValueError("R must be positive")
 
     @property
     def rc(self) -> float:
@@ -170,14 +160,14 @@ def steps_per_period_for(m: MachineConfig, p: OscParams) -> int:
 
     The stiffest mode is the summer lag, rate SUMMER_RATIO/RC, well above the
     ladder's rates of a few 1/(RC).  Through the outputs (|du/ds| <=
-    sync_gain) each summer also feels its row of the coupling, so by
+    SYNC_GAIN) each summer also feels its row of the coupling, so by
     Gershgorin the eigenvalues of the summers' block of the Jacobian lie within
-    SUMMER_RATIO/RC * (1 + sync_gain * max_i sum_j |W_ij|) of zero.  The step
+    SUMMER_RATIO/RC * (1 + SYNC_GAIN * max_i sum_j |W_ij|) of zero.  The step
     1/(f0 * steps) must keep |lambda| * h <= _STABILITY_BOUND.  Machines too
     stiff for every rung get the last.
     """
     rowsum = float(np.abs(effective_weights(m)).sum(axis=-1).max())
-    stiffness = SUMMER_RATIO / p.rc * (1.0 + p.sync_gain * rowsum)
+    stiffness = SUMMER_RATIO / p.rc * (1.0 + SYNC_GAIN * rowsum)
     for spp in STEP_RUNGS:
         if stiffness / (m.f0 * spp) <= _STABILITY_BOUND:
             return spp
@@ -221,20 +211,18 @@ def _integrate_network(
     rate = np.empty(state.shape)
     rate[..., :3] = (1.0 / (p.rc * np.asarray(rc_scale)))[..., None]
     rate[..., 3] = SUMMER_RATIO / p.rc
-    g = p.sync_gain
     shil_w = TWO_PI * 2.0 * f0
-    solver = _make_output_solver(p)
-    one_plus_g = 1.0 + p.gain
-    curv = p.gain / (p.sat_level * p.sat_level)
+    one_plus_g = 1.0 + GAIN
+    curv = GAIN / (SAT_LEVEL * SAT_LEVEL)
 
     def f(st, tt, u_p, c_p, d):
         """Write d(state)/dt at (st, tt) into d; returns the output root (u, c)."""
         cq = np.add.accumulate(st[..., :3], axis=-1)  # (q1, q1 + q2, Q)
         s = st[..., 3]
-        c = cq[..., 2] - g * s if sync_on else cq[..., 2]
+        c = cq[..., 2] - SYNC_GAIN * s if sync_on else cq[..., 2]
         # predicted warm start u_p + k*(c - c_p), k = 1 - 1/(1 + G*(1-(u_p/L)^2))
         dc = c - c_p
-        u = solver(c, u_p + dc - dc / (one_plus_g - curv * (u_p * u_p)))
+        u = _solve_output(c, u_p + dc - dc / (one_plus_g - curv * (u_p * u_p)))
         # v = u - cq = (v1, v2, v3); its running sums from v3 are RC*(dq3, dq2, dq1)
         np.add.accumulate((u[..., None] - cq)[..., ::-1], axis=-1, out=d[..., 2::-1])
         summed = np.add.reduce(W * u[..., None, :], axis=-1)
@@ -282,10 +270,10 @@ def _integrate_network(
     return times, outputs, state
 
 
-def resolve_shil_voltage(m: MachineConfig, p: OscParams) -> float:
+def resolve_shil_voltage(m: MachineConfig) -> float:
     """SHIL source amplitude in volts; unset machine amplitudes use the default."""
     units = DEFAULT_SHIL_UNITS if m.shil_amplitude is None else float(m.shil_amplitude)
-    return units * p.sat_level
+    return units * SAT_LEVEL
 
 
 def measure_free_run_frequency(trace: CircuitTrace) -> float:
@@ -320,28 +308,25 @@ def steady_amplitude(trace: CircuitTrace) -> float:
 
 def _free_run_single(p: OscParams, periods: float, f_ref: float):
     """Seeded power-on run of one uncoupled oscillator, SAMPLES_PER_PERIOD steps
-    per period, with its states after every step recorded.
+    per period: (trace, states), states holding the state after every step.
 
     With no coupling, SHIL or sync, the summer state stays exactly 0, so its
     SUMMER_RATIO/RC mode, which sets the protocol rungs, is never excited.  The
     stiffest mode left is the saturated ladder at about 5/RC, |lambda|*h = 0.78
     at this step, far inside RK4's limit.
     """
-    rng = np.random.default_rng(12345)
-    q0 = rng.normal(0.0, 0.4 * p.sat_level, (1, 3))
-    s0 = np.zeros(1)
-    return _integrate_network(
-        q0, s0, np.zeros((1, 1)), 0.0, False, p, 1.0,
+    q0 = np.random.default_rng(12345).normal(0.0, 0.4 * SAT_LEVEL, (1, 3))
+    times, outputs, _, states = _integrate_network(
+        q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
         periods / f_ref, f_ref, SAMPLES_PER_PERIOD, record_states=True,
     )
+    return CircuitTrace(times, outputs, np.zeros(times.shape, dtype=bool)), states
 
 
 def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
     """Single free oscillator from a seeded power-on state, stepped on the
     sample grid (_free_run_single)."""
-    times, outputs, _, _ = _free_run_single(p, periods, f_ref)
-    return CircuitTrace(times=times, outputs=outputs,
-                        sync_flags=np.zeros(times.shape, dtype=bool))
+    return _free_run_single(p, periods, f_ref)[0]
 
 
 @functools.cache
@@ -354,39 +339,24 @@ def _seeded_settle(p: OscParams, f_ref: float):
     steps SAMPLES_PER_PERIOD times per period; the table it seeds records its
     period at DEFAULT_STEPS_PER_PERIOD.
     """
-    times, outputs, _, states = _free_run_single(p, _CAL_PERIODS, f_ref)
-    trace = CircuitTrace(times=times, outputs=outputs,
-                         sync_flags=np.zeros(times.shape, dtype=bool))
+    trace, states = _free_run_single(p, _CAL_PERIODS, f_ref)
     i = _TABLE_START_PERIODS * SAMPLES_PER_PERIOD - 1
     return measure_free_run_frequency(trace), states[i].copy()
 
 
-def calibrate(p: OscParams, target_f0: float) -> OscParams:
-    """Scale R*C until the measured free-run frequency hits the target.
-
-    The analytic small-signal frequency 1/(2*pi*RC*sqrt(6)) seeds the
-    search; because the whole loop scales in time with RC, each refinement
-    is an exact rescale and one pass usually suffices.  Converged means
-    within _CAL_TOLERANCE (relative) of the target.
-    """
-    if target_f0 <= 0:
-        raise ValueError("target frequency must be positive")
-    rc_analytic = 1.0 / (TWO_PI * target_f0 * np.sqrt(6.0))
-    cand = dataclasses.replace(p, R=rc_analytic / p.C)
-    for _ in range(_CAL_MAX_ITERS + 1):
-        f_meas, _ = _seeded_settle(cand, target_f0)
-        if abs(f_meas - target_f0) / target_f0 <= _CAL_TOLERANCE:
-            return cand
-        cand = dataclasses.replace(cand, R=cand.R * f_meas / target_f0)
-    raise RuntimeError(
-        f"calibration failed to converge: measured {f_meas:.1f} Hz vs target {target_f0}"
-    )
-
-
 @functools.cache
 def calibrated_params(f0: float) -> OscParams:
-    """Default component values calibrated to f0, computed once per f0."""
-    return calibrate(OscParams(), f0)
+    """The oscillator calibrated to f0, computed once per f0: the analytic R
+    (small-signal frequency 1/(2*pi*RC*sqrt(6)) = f0), checked by one measured
+    free run.  The circuit scales in time with RC, so that run's frequency is
+    the same fraction of f0 (0.99894) at every f0; no refinement is needed."""
+    if f0 <= 0:
+        raise ValueError("target frequency must be positive")
+    p = OscParams(R=1.0 / (TWO_PI * f0 * np.sqrt(6.0)) / CAPACITANCE)
+    f_meas, _ = _seeded_settle(p, f0)
+    if abs(f_meas - f0) / f0 > _CAL_TOLERANCE:
+        raise RuntimeError(f"calibration off target: measured {f_meas:.1f} Hz vs {f0} Hz")
+    return p
 
 
 @functools.cache
@@ -441,7 +411,7 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     q0, s0 = phases_to_network_state(theta0, p, m.f0)
     rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
     W = effective_weights(m)
-    shil = resolve_shil_voltage(m, p)
+    shil = resolve_shil_voltage(m)
     spp = steps_per_period_for(m, p)
     t_free, u_free, final = _integrate_network(
         q0, s0, W, shil, False, p, rc_scale,

@@ -26,6 +26,7 @@ from .formats import (
     write_trace_csv,
 )
 from .harness import (
+    BACKENDS,
     RunSchedule,
     best_operating_point,
     oracle_max_cut,
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--graph", required=True, help="graph file path")
-        p.add_argument("--backend", choices=("phase", "circuit"), default="phase")
+        p.add_argument("--backend", choices=BACKENDS, default="phase")
         p.add_argument("--runs", type=int, default=100)
         p.add_argument("--coupling", type=float, default=DEFAULT_GLOBAL_SCALE,
                        help="global coupling scale")

@@ -47,8 +47,9 @@ class Quantizer:
     def quantize(self, w):
         """Weights in [0, 1] -> integer codes, ties rounded half-up, elementwise."""
         w = np.asarray(w, dtype=float)
-        if not np.all((0.0 <= w) & (w <= 1.0)):
-            raise ValueError(f"weight {w} outside [0, 1]")
+        bad = ~((0.0 <= w) & (w <= 1.0))  # True on NaN
+        if bad.any():
+            raise ValueError(f"weight {float(w[bad][0])} outside [0, 1]")
         return np.floor(w * self.max_code + 0.5).astype(int)
 
     def dequantize(self, code: int) -> float:

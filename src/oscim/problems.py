@@ -24,13 +24,22 @@ _CHUNK_BITS = 16
 _TILE_BITS = 16
 
 
+def _whole_number(x, what: str) -> int:
+    """x as an int; whole numbers only (1.0 passes, 1.9 does not)."""
+    if not float(x).is_integer():  # False on NaN and +-inf too
+        raise ValueError(f"{what} must be a whole number, got {x}")
+    return int(x)
+
+
 def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, float]:
     """One edge (u, v, w) of a graph on vertices 1..n, returned with u < v.
 
-    Rejects self-loops, vertices outside 1..n, pairs already in ``seen``
-    and non-finite weights; records the accepted pair in ``seen``.
+    Rejects vertex ids that are not whole numbers, self-loops, vertices
+    outside 1..n, pairs already in ``seen`` and non-finite weights; records
+    the accepted pair in ``seen``.
     """
-    u, v, w = int(edge[0]), int(edge[1]), float(edge[2])
+    u, v = _whole_number(edge[0], "vertex id"), _whole_number(edge[1], "vertex id")
+    w = float(edge[2])
     if u == v:
         raise ValueError(f"self-loop on vertex {u}")
     if not (1 <= u <= n and 1 <= v <= n):
@@ -76,11 +85,12 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        n = _whole_number(self.n, "vertex count")
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
         seen: set[tuple[int, int]] = set()
-        edges = tuple(check_edge(e, self.n, seen) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(check_edge(e, n, seen) for e in self.edges))
 
     @property
     def total_weight(self) -> float:

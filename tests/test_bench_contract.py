@@ -87,18 +87,13 @@ def test_circuit_step_count_matches_the_integrator(tracer, monkeypatch):
     # calibration and the limit-cycle table integrate too: build them uncounted
     circuit_dynamics._limit_cycle_states(circuit_dynamics.calibrated_params(m.f0), m.f0)
     calls = []
-    real = circuit_dynamics._make_output_solver
+    real = circuit_dynamics._solve_output
 
-    def counting(p):
-        solve = real(p)
+    def counting(c, guess):
+        calls.append(1)
+        return real(c, guess)
 
-        def wrapped(c, guess):
-            calls.append(1)
-            return solve(c, guess)
-
-        return wrapped
-
-    monkeypatch.setattr(circuit_dynamics, "_make_output_solver", counting)
+    monkeypatch.setattr(circuit_dynamics, "_solve_output", counting)
     # the machine steps at the base rung, the one the tracer reads; one period
     # and one step of free interval is spp + 1 steps, which do not end on a sample
     spp = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD

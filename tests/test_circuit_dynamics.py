@@ -7,15 +7,19 @@ import pytest
 
 from oscim import circuit_dynamics, readout
 from oscim.circuit_dynamics import (
+    CAPACITANCE,
+    GAIN,
+    GAIN_THRESHOLD,
+    SAT_LEVEL,
+    SYNC_GAIN,
     CircuitTrace,
     OscParams,
     _free_run_single,
     _integrate_network,
     _limit_cycle_states,
-    _make_output_solver,
     _protocol_run,
     _seeded_settle,
-    calibrate,
+    _solve_output,
     calibrated_params,
     free_run_trace,
     measure_free_run_frequency,
@@ -65,39 +69,34 @@ class TestOscillationCondition:
         assert late > 3 * early
 
     def test_gain_must_exceed_threshold(self):
-        with pytest.raises(ValueError, match="gain"):
-            OscParams(gain=25.0)
+        assert GAIN > GAIN_THRESHOLD
 
 
 class TestOscillatorDerivative:
     def test_quiescent_point(self):
         # zero charges and zero sync drive: the output solves to 0 from any guess
-        u = _make_output_solver(OscParams())(np.zeros(3), np.full(3, 0.7))
+        u = _solve_output(np.zeros(3), np.full(3, 0.7))
         assert np.allclose(u, 0.0, atol=1e-12)
 
     def test_dc_sync_inverts(self):
         # a positive DC sync offset settles the output negative
-        p = OscParams()
-        solve = _make_output_solver(p)
-        assert float(solve(np.array(-p.sync_gain * 0.5), np.zeros(()))) < 0
-        assert float(solve(np.array(-p.sync_gain * -0.5), np.zeros(()))) > 0
+        assert float(_solve_output(np.array(-SYNC_GAIN * 0.5), np.zeros(()))) < 0
+        assert float(_solve_output(np.array(-SYNC_GAIN * -0.5), np.zeros(()))) > 0
 
 
 class TestSolver:
     def test_residuals_from_random_starts(self):
-        p = OscParams()
         rng = np.random.default_rng(3)
         c = rng.normal(0, 2.0, 500)
         guess = rng.normal(0, 2.0, 500)
-        u = _make_output_solver(p)(c, guess)
-        sat_level = p.sat_level
-        x = p.gain * (c - u)
-        res = u - sat_level * np.tanh(x / sat_level)
+        u = _solve_output(c, guess)
+        x = GAIN * (c - u)
+        res = u - SAT_LEVEL * np.tanh(x / SAT_LEVEL)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_batch_equals_elementwise(self):
         # convergence is judged per element, so batch-mates cannot move a result
-        solve = _make_output_solver(OscParams())
+        solve = _solve_output
         rng = np.random.default_rng(3)
         c = rng.normal(0, 2.0, 500)
         guess = rng.normal(0, 2.0, 500)
@@ -108,7 +107,7 @@ class TestSolver:
 
 class TestDivergence:
     def test_solver_nan_input_gives_nan_output(self):
-        solve = _make_output_solver(OscParams())
+        solve = _solve_output
         assert np.isnan(solve(np.array([np.nan]), np.array([0.5]))).all()
         # a NaN element leaves its batch-mates as they are alone
         u = solve(np.array([np.nan, 0.3]), np.array([0.5, 0.5]))
@@ -147,19 +146,14 @@ class TestDivergence:
         # sample's) instead of integrating all 10 000 steps before the check
         stride = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD // circuit_dynamics.SAMPLES_PER_PERIOD
         calls = []
-        real = circuit_dynamics._make_output_solver
+        real = circuit_dynamics._solve_output
 
-        def counting(p):
-            solve = real(p)
+        def counting(c, guess):
+            calls.append(1)
+            assert len(calls) <= 3 * stride * 4, "integration went on past divergence"
+            return real(c, guess)
 
-            def wrapped(c, guess):
-                calls.append(1)
-                assert len(calls) <= 3 * stride * 4, "integration went on past divergence"
-                return solve(c, guess)
-
-            return wrapped
-
-        monkeypatch.setattr(circuit_dynamics, "_make_output_solver", counting)
+        monkeypatch.setattr(circuit_dynamics, "_solve_output", counting)
         q0 = np.zeros((2, 2, 3))
         q0[0, 1, 2] = np.nan
         with pytest.raises(SimulationDiverged, match=r"\(run 0, oscillator 1\)"):
@@ -169,7 +163,7 @@ class TestDivergence:
             )
 
 
-def reference_rk4_step(state, W, shil_volts, p, rc_scale, f0, solve):
+def reference_rk4_step(state, W, shil_volts, p, rc_scale, f0):
     """One RK4 step written out from the module docstring's ladder equations.
 
     state is (B, n, 4) = (q1, q2, q3, s) with sync on; each stage's output is
@@ -179,7 +173,7 @@ def reference_rk4_step(state, W, shil_volts, p, rc_scale, f0, solve):
 
     def derivative(st, t):
         q1, q2, q3, s = (st[..., k] for k in range(4))
-        u = solve(q1 + q2 + q3 - p.sync_gain * s, np.zeros(q1.shape))
+        u = _solve_output(q1 + q2 + q3 - SYNC_GAIN * s, np.zeros(q1.shape))
         v1 = u - q1
         v2 = v1 - q2
         v3 = v2 - q3
@@ -215,7 +209,7 @@ class TestFusedStage:
         dt = 1.0 / (F0 * circuit_dynamics.DEFAULT_STEPS_PER_PERIOD)
         _, _, end = _integrate_network(q0, s0, W, shil, True, p, rc_scale, dt, F0)
         ref = reference_rk4_step(np.concatenate([q0, s0[..., None]], axis=-1),
-                                 W, shil, p, rc_scale, F0, _make_output_solver(p))
+                                 W, shil, p, rc_scale, F0)
         assert np.abs(end - ref).max() < 1e-12
 
 
@@ -299,7 +293,7 @@ class TestBelowStabilityFloor:
         q0, s0 = phases_to_network_state(np.array([[0.3, 2.0, 4.1]]), params, F0)
         _integrate_network(
             q0, s0, effective_weights(m),
-            circuit_dynamics.resolve_shil_voltage(m, params), sync_on, params,
+            circuit_dynamics.resolve_shil_voltage(m), sync_on, params,
             np.ones((1, 3)), 20.0 / F0, F0, spp=100,
         )
 
@@ -374,17 +368,36 @@ class TestCalibration:
     def test_analytic_seed_for_3800(self):
         rc = 1.0 / (TWO_PI * 3800.0 * np.sqrt(6.0))
         assert rc == pytest.approx(1.709e-5, rel=1e-3)
-        p = calibrate(OscParams(), 3800.0)
+        p = calibrated_params(3800.0)
         assert p.rc == pytest.approx(rc, rel=0.05)
+        assert p.C == CAPACITANCE
 
     def test_half_frequency_doubles_rc(self):
-        hi = calibrate(OscParams(), 3800.0)
-        lo = calibrate(OscParams(), 1900.0)
+        hi = calibrated_params(3800.0)
+        lo = calibrated_params(1900.0)
         assert lo.rc / hi.rc == pytest.approx(2.0, rel=0.05)
 
-    def test_already_calibrated_fixed_point(self, params):
-        again = calibrate(params, F0)
-        assert again.rc == pytest.approx(params.rc, rel=0.01)
+    @pytest.mark.parametrize("f0", [1.0, 100.0, 3801.7, 1e7])
+    def test_measured_fraction_is_the_same_at_every_f0(self, params, f0):
+        # the circuit scales in time with RC and the seeded run takes the same
+        # steps per period at every f0, so one check suffices for calibration:
+        # the measured frequency is one fixed fraction of the target
+        f_ref, _ = _seeded_settle(params, F0)
+        f_meas, _ = _seeded_settle(calibrated_params(f0), f0)
+        assert f_meas / f0 == pytest.approx(f_ref / F0, rel=1e-12, abs=0)
+        assert f_ref / F0 == pytest.approx(0.9989363733047733, rel=1e-12, abs=0)
+
+    def test_off_target_measurement_raises(self, monkeypatch):
+        monkeypatch.setattr(circuit_dynamics, "_seeded_settle",
+                            lambda p, f0: (0.99 * f0, None))
+        with pytest.raises(RuntimeError, match="calibration off target"):
+            calibrated_params.__wrapped__(2500.0)
+
+    def test_only_r_is_settable(self):
+        with pytest.raises(TypeError):
+            OscParams(R=1000.0, C=2e-8)
+        with pytest.raises(ValueError, match="R must be positive"):
+            OscParams(R=0.0)
 
 
 class TestSettleReuse:
@@ -396,7 +409,7 @@ class TestSettleReuse:
     def test_table_equals_independent_settle(self, params):
         # the table starts from calibration's run after 40 periods; a separate
         # 40-period settle from the same seeded start must give the same bits
-        _, _, settled, _ = _free_run_single(params, 40.0, F0)
+        settled = _free_run_single(params, 40.0, F0)[1][-1]
         _, _, _, states = _integrate_network(
             settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, params,
             1.0, 1.0 / F0, F0, record_states=True,
@@ -409,18 +422,13 @@ class TestCalibrationGrid:
         # a fresh f0 builds its calibration and table here; each RK4 step makes
         # four output solves and a run ending on a sample one more
         calls = []
-        real = circuit_dynamics._make_output_solver
+        real = circuit_dynamics._solve_output
 
-        def counting(p):
-            solve = real(p)
+        def counting(c, guess):
+            calls.append(1)
+            return real(c, guess)
 
-            def wrapped(c, guess):
-                calls.append(1)
-                return solve(c, guess)
-
-            return wrapped
-
-        monkeypatch.setattr(circuit_dynamics, "_make_output_solver", counting)
+        monkeypatch.setattr(circuit_dynamics, "_solve_output", counting)
         f0 = 3100.0
         p = calibrated_params(f0)
         # one seeded run, the analytic seed accepted: 50 periods at 100 steps

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oscim.circuit_dynamics import OscParams, resolve_shil_voltage
+from oscim.circuit_dynamics import resolve_shil_voltage
 from oscim.machine import (
     CouplingMatrix,
     MachineConfig,
@@ -156,6 +156,13 @@ class TestQuantizerArrays:
         w[4] = bad
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             Quantizer().quantize(w)
+        # the message names the first offending weight, not the whole plane
+        plane = np.full((24, 24), 0.5)
+        plane[3, 4] = bad
+        plane[5, 6] = 2.0
+        with pytest.raises(ValueError) as info:
+            Quantizer().quantize(plane)
+        assert str(info.value) == f"weight {bad} outside [0, 1]"
 
 
 class TestCouplingMatrixInvariants:
@@ -286,7 +293,7 @@ class TestShilResolution:
         g = Graph(n=2, edges=((1, 2, 1.0),))
         m = build_machine(g, shil_amplitude=0.0)
         assert resolve_shil_strength(m) == 0.0
-        assert resolve_shil_voltage(m, OscParams()) == 0.0
+        assert resolve_shil_voltage(m) == 0.0
 
     def test_default_capped_by_row_sum(self):
         g = Graph(n=2, edges=((1, 2, 1.0),))

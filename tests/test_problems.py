@@ -58,6 +58,24 @@ class TestGraph:
         g = Graph(n=3, edges=((3, 1, 2.0),))
         assert g.edges == ((1, 3, 2.0),)
 
+    @pytest.mark.parametrize("edge, bad", [
+        ((1.9, 3, 1.0), "1.9"), ((2, 3.7, 0.5), "3.7"), ((float("nan"), 2, 1.0), "nan"),
+    ], ids=["1.9", "3.7", "nan"])
+    def test_rejects_vertex_ids_that_are_not_whole(self, edge, bad):
+        # int() would truncate 1.9 to vertex 1
+        with pytest.raises(ValueError, match=f"vertex id must be a whole number, got {bad}"):
+            Graph(n=3, edges=(edge,))
+
+    def test_rejects_vertex_count_that_is_not_whole(self):
+        with pytest.raises(ValueError, match="vertex count must be a whole number, got 2.5"):
+            Graph(n=2.5, edges=())
+
+    def test_accepts_whole_floats(self):
+        g = Graph(n=3.0, edges=((1.0, 3.0, 2.0),))
+        assert g == Graph(n=3, edges=((1, 3, 2.0),))
+        assert type(g.n) is int and type(g.edges[0][0]) is int
+        assert g.adjacency().shape == (3, 3)
+
 
 class TestGraphToIsing:
     def test_single_edge(self):
