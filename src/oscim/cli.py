@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -222,6 +223,7 @@ def _parse_scales(text: str):
         raise GraphFormatError(f"bad scale list: {exc}")
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscim",

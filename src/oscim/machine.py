@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import Graph, freeze_array
+from .problems import Graph, _whole_number, freeze_array
 
 DEFAULT_F0_HZ = 3800.0
 DEFAULT_GLOBAL_SCALE = 0.2
@@ -53,6 +53,7 @@ class Quantizer:
         return np.floor(w * self.max_code + 0.5).astype(int)
 
     def dequantize(self, code: int) -> float:
+        _whole_number(code, "code")
         if not 0 <= code <= self.max_code:
             raise ValueError(f"code {code} outside [0, {self.max_code}]")
         return code / self.max_code

@@ -19,8 +19,7 @@ import numpy as np
 # 2^24 evaluations is the largest enumeration we allow.
 MAX_BRUTE_FORCE_N = 24
 
-_CHUNK_BITS = 16
-# one screening tile of brute_force_max_cut holds at most 2^_TILE_BITS q entries
+# one tile of _screened_spins holds at most 2^_TILE_BITS q entries
 _TILE_BITS = 16
 
 
@@ -161,11 +160,25 @@ def graph_to_ising(g: Graph) -> IsingProblem:
     return IsingProblem(n=g.n, J=J, h=np.zeros(g.n), offset=0.0)
 
 
+def energies(p: IsingProblem, spins) -> np.ndarray:
+    """Ising energy of each row of a (K, n) array of +-1 spins (not validated).
+
+    Each row subtracts its pair terms J_ij s_i s_j (i < j, row-major), then
+    its field terms h_j s_j, one at a time, and adds the offset last, so
+    every caller scores a configuration bit for bit alike.
+    """
+    s = np.asarray(spins)
+    e = np.zeros(s.shape[0])
+    for i, j in zip(*np.nonzero(np.triu(p.J, 1))):
+        e -= p.J[i, j] * (s[:, i] * s[:, j])
+    for j in np.flatnonzero(p.h):
+        e -= p.h[j] * s[:, j]
+    return e + p.offset
+
+
 def energy(p: IsingProblem, spins) -> float:
     """Ising energy H = -sum_{i<j} J_ij s_i s_j - h.s + offset."""
-    s = validate_spins(spins, p.n)
-    pair_sum = 0.5 * float(s @ (p.J @ s))  # J symmetric, zero diagonal
-    return -pair_sum - float(p.h @ s) + p.offset
+    return float(energies(p, validate_spins(spins, p.n)[None, :])[0])
 
 
 def cut_values(g: Graph, spins) -> np.ndarray:
@@ -229,14 +242,6 @@ def _spin_rows(start: int, stop: int, n: int) -> np.ndarray:
     return 1 - 2 * bitvals.astype(np.int8)
 
 
-def _spin_chunks(n: int):
-    """Yield spin blocks covering all 2^n configurations, in counting order."""
-    total = 1 << n
-    step = 1 << min(_CHUNK_BITS, n)
-    for start in range(0, total, step):
-        yield _spin_rows(start, min(start + step, total), n)
-
-
 def _check_enumerable(n: int):
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(
@@ -244,32 +249,27 @@ def _check_enumerable(n: int):
         )
 
 
-def _screened_spins(g: Graph) -> np.ndarray:
-    """Configurations with the last spin +1 that may hold the maximum cut.
+def _screened_spins(A: np.ndarray, margin: float) -> np.ndarray:
+    """Configurations with the last spin +1 whose q = s^T A s may be minimal.
 
-    The screen ranks configurations by q = s^T A s, since cut = (W - q/2)/2.
-    The n-1 free spins split into a low block of a = n // 2 spins and a high
-    block of the rest plus the fixed last spin (Horowitz and Sahni's split
-    enumeration), so q = high_q[h] + low_q[l] + l.C[:, h] with C = 2 A_lh h^T.
-    A tile of at most 2^_TILE_BITS entries of q is one matrix product, whose
-    two extra columns carry high_q and low_q.  The screen keeps each entry
-    within ``margin`` of the running minimum, and at the end drops those
-    above the final minimum plus ``margin``.
+    A is a symmetric (n, n) form.  The n-1 free spins split into a low block
+    of a = n // 2 spins and a high block of the rest plus the fixed last
+    spin (Horowitz and Sahni's split enumeration), so q = high_q[h] +
+    low_q[l] + l.C[:, h] with C = 2 A_lh h^T.  A tile of at most
+    2^_TILE_BITS entries of q is one matrix product, whose two extra columns
+    carry high_q and low_q.  The screen keeps each entry within ``margin``
+    of the running minimum, and at the end drops those above the final
+    minimum plus ``margin``; the running minimum never falls below the final
+    one, so no tile drops an entry that the final test keeps.
 
-    Why ``margin`` is safe: each of the three parts sums at most n + 1
-    products of a spin and an entry of A, and adding them rounds twice more,
-    so the screen's q is off by at most about (n + 3) eps/2 sum|A|.  The
-    edge-order sum adds m weights, so a cut is off by at most about
-    m eps/2 sum|w| = m eps/4 sum|A|, and q = 2W - 4 cut turns the errors of
-    two cuts into 2m eps sum|A|.  So the q of an edge-order maximizer lies
-    within (2m + n + 3) eps sum|A| of the screen's minimum, well inside
-    ``margin``; the running minimum never falls below the final one, so no
-    tile drops it either.
+    Each of the three parts sums at most n + 1 products of a spin and an
+    entry of A, and adding them rounds twice more, so the screen's q is off
+    by at most about (n + 3) eps/2 sum|A|.  A caller's ``margin`` covers
+    twice that plus the rounding of its own scores.
     """
-    A = g.adjacency()
-    margin = 8.0 * (g.n + len(g.edges)) * np.finfo(float).eps * float(np.abs(A).sum())
-    a = g.n // 2
-    b = g.n - 1 - a
+    n = len(A)
+    a = n // 2
+    b = n - 1 - a
     low = _spin_rows(0, 1 << a, a)
     high = np.hstack((_spin_rows(0, 1 << b, b), np.ones((1 << b, 1), np.int8)))
     low_f, high_f = low.astype(float), high.astype(float)
@@ -292,6 +292,16 @@ def _screened_spins(g: Graph) -> np.ndarray:
     return np.hstack((low[li], high[hi]))
 
 
+def _optimum(spins: np.ndarray, scores: np.ndarray, best, signs) -> tuple[float, set]:
+    """(best, the rows of spins that score best, each times every sign)."""
+    top = spins[scores == best]
+    configs: set[tuple[int, ...]] = set()
+    for part in np.array_split(top, len(top) // 4096 + 1):  # bounds tolist()'s lists
+        for sign in signs:
+            configs.update(map(tuple, (sign * part).tolist()))
+    return float(best), configs
+
+
 def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
     """Exact max-cut by enumeration: (optimum, all maximizing spin configs).
 
@@ -299,35 +309,47 @@ def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
     flip sum the same edge terms in the same order, so only the half with
     the last spin +1 is enumerated; each maximizer's flip is added to the
     set, which is therefore closed under global spin flip.  Only the
-    configurations that survive ``_screened_spins`` are scored by the
-    edge-order sum, which alone decides the optimum and the maximizers.
+    configurations that survive ``_screened_spins`` on the weighted
+    adjacency A are scored by the edge-order sum, which alone decides the
+    optimum and the maximizers.
+
+    Why the margin is safe: since cut = (W - q/2)/2, the screen ranks by q.
+    The edge-order sum adds m weights, so a cut is off by at most about
+    m eps/2 sum|w| = m eps/4 sum|A|, and q = 2W - 4 cut turns the errors of
+    two cuts into 2m eps sum|A|.  So the q of an edge-order maximizer lies
+    within (2m + n + 3) eps sum|A| of the screen's minimum, well inside
+    8 (n + m) eps sum|A|.
     """
     _check_enumerable(g.n)
-    spins = _screened_spins(g)
+    A = g.adjacency()
+    margin = 8.0 * (g.n + len(g.edges)) * np.finfo(float).eps * float(np.abs(A).sum())
+    spins = _screened_spins(A, margin)
     cuts = cut_values(g, spins)
-    best = cuts.max()
-    top = spins[cuts == best]
-    configs: set[tuple[int, ...]] = set()
-    for part in np.array_split(top, len(top) // 4096 + 1):  # bounds tolist()'s lists
-        configs.update(map(tuple, part.tolist()))
-        configs.update(map(tuple, (-part).tolist()))
-    return float(best), configs
+    return _optimum(spins, cuts, cuts.max(), (1, -1))
 
 
 def brute_force_ground_states(p: IsingProblem) -> tuple[float, set[tuple[int, ...]]]:
-    """Exact minimum of the Ising energy and every attaining configuration."""
+    """Exact minimum of the Ising energy and every attaining configuration.
+
+    The screen runs on n + 1 spins, the last a field spin fixed at +1:
+    A = -[[J, h], [h^T, 0]] gives q = s^T A s = 2(H - offset), so each
+    configuration of the n real spins is enumerated once.  ``energies``
+    scores the survivors and alone decides the answer, so ``energy`` of
+    every returned state equals the returned minimum.
+
+    Why the margin is safe: ``energies`` adds m <= n(n + 1)/2 exact terms
+    whose magnitudes sum to sum|A|/2, then the offset, so an energy is off
+    by at most about m eps/4 sum|A| + eps/2 |offset|; in q = 2(H - offset)
+    two such errors make m eps sum|A| + 2 eps |offset|.  So the q of a
+    scored minimizer lies within (m + n + 4) eps sum|A| + 2 eps |offset| of
+    the screen's minimum, well inside 8 eps ((n + 1)^2 sum|A| + |offset|).
+    A large offset can round distinct energies to one float, and each of
+    them is then a ground state.
+    """
     _check_enumerable(p.n)
-    best = np.inf
-    best_configs: set[tuple[int, ...]] = set()
-    for spins in _spin_chunks(p.n):
-        sf = spins.astype(float)
-        pair = 0.5 * np.einsum("ki,ij,kj->k", sf, p.J, sf)
-        energies = -pair - sf @ p.h + p.offset
-        m = energies.min()
-        if m < best:
-            best = m
-            best_configs = set()
-        if m == best:
-            for k in np.nonzero(energies == best)[0]:
-                best_configs.add(tuple(int(x) for x in spins[k]))
-    return float(best), best_configs
+    A = -np.block([[p.J, p.h[:, None]], [p.h[None, :], np.zeros((1, 1))]])
+    eps = np.finfo(float).eps
+    margin = 8.0 * eps * ((p.n + 1) ** 2 * float(np.abs(A).sum()) + abs(p.offset))
+    spins = _screened_spins(A, margin)[:, :-1]
+    e = energies(p, spins)
+    return _optimum(spins, e, e.min(), (1,))

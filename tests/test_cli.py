@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, document shape, reproducibility."""
 
+import argparse
 import hashlib
 import json
 
@@ -49,6 +50,26 @@ class TestOracle:
     def test_missing_file(self, capsys):
         assert main(["oracle", "--graph", "/nonexistent.graph"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, triangle_file, monkeypatch, capsys):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        assert main(["oracle", "--graph", triangle_file]) == 0
+        first = capsys.readouterr().out
+        assert main(["oracle", "--graph"]) == 1  # the parse fails
+        capsys.readouterr()
+        assert main(["oracle", "--graph", triangle_file]) == 0
+        assert capsys.readouterr().out == first
+        assert len(parsers) == 3
+        assert parsers[0] is parsers[1] is parsers[2]
 
 
 class TestSolve:

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the current API."""
 
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -20,3 +21,12 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.strip()
     if path.stem == "05_circuit_waveforms":
         assert (tmp_path / "circuit_pair.csv").stat().st_size > 0
+
+
+def test_problem_mapping_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # demo 01 prints both brute-force oracles' answers; sha256 of its stdout
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS[0]), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ef9a41c95decaf27c46ea94670858d6d7745e951a587d2ba07ac65ab15e8cb13")

@@ -45,6 +45,15 @@ class TestQuantizer:
         errors = [abs(q.dequantize(q.quantize(w)) - w) for w in grid]
         assert max(errors) <= 1.0 / 2046.0 + 1e-15
 
+    def test_dequantize_takes_whole_codes_only(self):
+        q = Quantizer()
+        for code in (1.5, 307.25, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"code must be a whole number, got {code}"):
+                q.dequantize(code)
+        assert q.dequantize(np.int64(307)) == q.dequantize(307.0) == 307 / 1023
+        with pytest.raises(ValueError, match=r"^code 1024 outside \[0, 1023\]$"):
+            q.dequantize(1024)
+
     def test_other_bit_depths(self):
         q = Quantizer(bits=4)
         assert q.max_code == 15

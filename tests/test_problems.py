@@ -326,19 +326,95 @@ class TestGroundStates:
             _, ground_configs = brute_force_ground_states(graph_to_ising(g))
             assert cut_configs == ground_configs
 
-    @pytest.mark.parametrize("chunk_bits", [16, 3])
-    def test_equals_full_enumeration(self, chunk_bits, monkeypatch):
-        # 3-bit chunks make every problem above n = 3 span several chunks;
+    @staticmethod
+    def full_enumeration(p):
+        """energy() of every one of the 2^n configurations: (minimum, ground states)."""
+        energies = {tuple(int(x) for x in s): energy(p, s) for s in all_spin_configs(p.n)}
+        emin = min(energies.values())
+        return emin, {cfg for cfg, e in energies.items() if e == emin}
+
+    @pytest.mark.parametrize("tile_bits", [_TILE_BITS, 3])
+    def test_equals_full_enumeration(self, tile_bits, monkeypatch):
+        # 3-bit tiles make every problem above n = 3 span several tiles;
         # half-integer couplings and fields keep every energy exact
-        monkeypatch.setattr("oscim.problems._CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr("oscim.problems._TILE_BITS", tile_bits)
         rng = np.random.default_rng(12)
         for n in range(1, 8):
             J = np.triu(rng.integers(-2, 3, (n, n)) / 2.0, 1)
             p = IsingProblem(n=n, J=J + J.T, h=rng.integers(-2, 3, n) / 2.0)
-            energies = {tuple(int(x) for x in s): energy(p, s) for s in all_spin_configs(n)}
-            emin = min(energies.values())
-            ground = {cfg for cfg, e in energies.items() if e == emin}
-            assert brute_force_ground_states(p) == (emin, ground)
+            assert brute_force_ground_states(p) == self.full_enumeration(p)
+
+    @pytest.mark.parametrize("tile_bits", [_TILE_BITS, 3])
+    def test_non_dyadic_equals_full_enumeration(self, tile_bits, monkeypatch):
+        # decimal couplings, fields and offsets leave ties to rounding, where
+        # the screen's q and the energy scorer can rank differently; the oracle
+        # must answer as energy() over every configuration does, bit for bit
+        monkeypatch.setattr("oscim.problems._TILE_BITS", tile_bits)
+        rng = np.random.default_rng(21)
+        values = [-0.7, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.6]
+        for n in range(1, 11):
+            J = np.triu(rng.choice(values, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+            p = IsingProblem(n=n, J=J + J.T, h=rng.choice([0.0, 0.1, -0.2, 0.3], n),
+                             offset=float(rng.choice([0.0, 0.1, -2.7])))
+            assert brute_force_ground_states(p) == self.full_enumeration(p)
+
+    @pytest.mark.parametrize("offset, count", [(0.0, 1), (1e16, 2), (1e17, 8)])
+    def test_offset_rounds_energies_together(self, offset, count):
+        # adding a large offset rounds distinct energies to one float: at 1e16
+        # (ulp 2) -1.75 and -1.25 both land on 1e16 - 2, at 1e17 (ulp 16) all
+        # eight energies land on 1e17, and every such state is a ground state
+        p = IsingProblem(n=3, J=[[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]], h=[0.25, 0, 0],
+                         offset=offset)
+        emin, configs = brute_force_ground_states(p)
+        assert (emin, configs) == self.full_enumeration(p)
+        assert len(configs) == count
+
+    def test_large_offset_keeps_the_screen_narrow(self):
+        # the margin covers |offset| only as far as its rounding reaches (a few
+        # ulps of it), so most of the 2^18 states still fail the screen; the
+        # 2^16-row chunk walk this replaced peaked at 21.4 MB here (tracemalloc)
+        n = 18
+        rng = np.random.default_rng(7)
+        J = np.triu(rng.choice([-1.0, -0.5, 0.5, 1.0], (n, n)), 1)
+        p = IsingProblem(n=n, J=J + J.T, h=rng.choice([-0.5, 0.25], n), offset=1e16)
+        tracemalloc.start()
+        try:
+            emin, configs = brute_force_ground_states(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(energy(p, s) == emin for s in configs)
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("n, digest", [
+        (21, "8bb88720f581db956d028a0e3f0622dbf8b95999f0c464e99c9a663e14924d4e"),
+        (24, "923af63bd6530450dc8a3d6ffc361872a1aa02db846c66402a5e1ed77379ac3c"),
+    ])
+    def test_answers_pinned_at_the_enumeration_limit(self, n, digest):
+        # digests of (minimum, sorted ground states) recorded from the 2^n
+        # enumeration the screen replaced; n + 1 spins of 22 and 25 give both
+        # split shapes, and dyadic entries keep every energy exact
+        rng = np.random.default_rng(2500 + n)
+        J = np.triu(rng.choice([-1.0, -0.5, 0.5, 1.0], (n, n)) * (rng.random((n, n)) < 0.25), 1)
+        h = rng.choice([-0.5, 0.0, 0.0, 0.25], n)
+        p = IsingProblem(n=n, J=J + J.T, h=h, offset=float(rng.integers(-8, 9)) / 4.0)
+        emin, configs = brute_force_ground_states(p)
+        text = repr((emin, sorted(configs)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_memory_with_every_state_a_ground_state(self):
+        # J = h = 0 at n = 16: all 65 536 states survive the screen; the 2^16-row
+        # chunk walk this replaced peaked at 24.1 MB here (tracemalloc)
+        n = 16
+        tracemalloc.start()
+        try:
+            emin, configs = brute_force_ground_states(
+                IsingProblem(n=n, J=np.zeros((n, n)), h=np.zeros(n)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emin == 0.0 and len(configs) == 2 ** n
+        assert peak < 24_000_000
 
 
 class TestQuboConversions:
