@@ -7,11 +7,11 @@ few periods, which is what encodes a cut edge.
 
 import numpy as np
 
-from oscim import Graph, build_machine, set_sync
+from oscim import Graph, build_machine
 from oscim.phase_dynamics import random_initial_phases, simulate, wrap_phase
 
 edge = Graph(n=2, edges=((1, 2, 1.0),))
-machine = set_sync(build_machine(edge, global_scale=0.2), True)
+machine = build_machine(edge, global_scale=0.2)
 
 rng = np.random.default_rng(42)
 init = random_initial_phases(2, rng)

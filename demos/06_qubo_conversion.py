@@ -9,7 +9,7 @@ Q = np.triu(np.array([
     [0.0, 2.0, -1.0],
     [0.0, 0.0, -0.5],
 ]))
-qubo = Qubo(n=3, Q=Q, offset=0.25)
+qubo = Qubo(Q=Q, offset=0.25)
 ising = qubo_to_ising(qubo)
 back = ising_to_qubo(ising)
 

@@ -15,7 +15,6 @@ from .machine import (
     build_machine,
     effective_weights,
     resolve_shil_strength,
-    set_sync,
 )
 from .problems import (
     Graph,
@@ -50,6 +49,5 @@ __all__ = [
     "build_machine",
     "effective_weights",
     "resolve_shil_strength",
-    "set_sync",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import GraphFormatError
-from .problems import Graph, IsingProblem, Qubo, check_edge
+from .problems import Graph, IsingProblem, Qubo, _whole_number, check_edge
 
 
 def parse_graph_file(text: str) -> Graph:
@@ -76,23 +76,25 @@ def qubo_to_document(q: Qubo) -> dict:
 
 
 def problem_from_document(doc: dict) -> IsingProblem | Qubo:
-    """Detect the problem kind by its fields and reconstruct it."""
+    """Detect the problem kind by its fields and rebuild it; ``n`` must match the matrix."""
     if not isinstance(doc, dict):
         raise GraphFormatError("problem document must be a JSON object")
     kind = doc.get("kind")
     if kind is None:
         kind = "qubo" if "Q" in doc else "ising" if "J" in doc else None
+    if kind not in ("qubo", "ising"):
+        raise GraphFormatError("cannot detect problem kind (expected 'Q' or 'J' matrix)")
     try:
-        if kind == "qubo":
-            return Qubo(n=int(doc["n"]), Q=np.array(doc["Q"], dtype=float),
-                        offset=float(doc.get("offset", 0.0)))
-        if kind == "ising":
-            return IsingProblem(n=int(doc["n"]), J=np.array(doc["J"], dtype=float),
-                                h=np.array(doc["h"], dtype=float),
-                                offset=float(doc.get("offset", 0.0)))
+        n = _whole_number(doc["n"], "n")
+        offset = float(doc.get("offset", 0.0))
+        # the constructors convert and check the matrices themselves
+        problem = (Qubo(Q=doc["Q"], offset=offset) if kind == "qubo"
+                   else IsingProblem(J=doc["J"], h=doc["h"], offset=offset))
+        if problem.n != n:
+            raise ValueError(f"n is {n} but the matrix is {problem.n} x {problem.n}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"malformed {kind or 'problem'} document: {exc}")
-    raise GraphFormatError("cannot detect problem kind (expected 'Q' or 'J' matrix)")
+        raise GraphFormatError(f"malformed {kind} document: {exc}")
+    return problem
 
 
 def document_bytes(doc: dict) -> str:

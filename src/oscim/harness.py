@@ -18,7 +18,7 @@ import numpy as np
 
 from . import circuit_dynamics as circuit
 from . import phase_dynamics as phase
-from .machine import MachineConfig, set_global_scale, set_sync
+from .machine import MachineConfig, set_global_scale
 from .problems import Graph, brute_force_max_cut, cut_values
 from .readout import lock_period, spins_from_phases
 
@@ -197,7 +197,7 @@ def phase_protocol_run(
     batch of seeds[b] alone.
     """
     n = m.n
-    K, Ks = phase.coupling_terms(set_sync(m, True))
+    K, Ks = phase.coupling_terms(m)
     spp = phase.steps_per_period_for(K, Ks)
     n_steps = int(round(sched.settle_periods * spp))
     if n_steps < 1:

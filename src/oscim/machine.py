@@ -1,10 +1,11 @@
-"""Configurable machine model: quantized coupling matrix, SHIL source, sync gate.
+"""Configurable machine model: quantized coupling matrix and SHIL source.
 
 The coupling hardware is emulated as a plane of digital-potentiometer codes
 (magnitude) plus a sign plane; the two-summer chain's implicit sign reversal
 and its re-inversion cancel, so the net drive seen by oscillator i is
 ``+sum_j w_ij * out_j + SHIL`` with ``w = global_scale * sign * dequantized``.
-Both dynamics backends read that net weight matrix from here.
+Both dynamics backends read that net weight matrix from here.  The sync
+gate is a step of the run protocol (``harness``), not machine state.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class Quantizer:
     bits: int = DEFAULT_QUANTIZER_BITS
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", _whole_number(self.bits, "bits"))
         if not 1 <= self.bits <= 16:
             raise ValueError(f"bits must be in 1..16, got {self.bits}")
 
@@ -61,16 +63,15 @@ class Quantizer:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Potentiometer codes (magnitude plane) plus a sign plane."""
+    """Potentiometer codes (magnitude plane) plus a sign plane of the same shape."""
 
-    n: int
     codes: np.ndarray
     signs: np.ndarray
     quantizer: Quantizer = field(default_factory=Quantizer)
 
     def __post_init__(self):
-        codes = freeze_array(self, "codes", (self.n, self.n), int)
-        signs = freeze_array(self, "signs", (self.n, self.n), int)
+        codes = freeze_array(self, "codes", (len(self.codes),) * 2, int)
+        signs = freeze_array(self, "signs", codes.shape, int)
         if codes.min() < 0 or codes.max() > self.quantizer.max_code:
             raise ValueError(f"codes must lie in [0, {self.quantizer.max_code}]")
         if not np.isin(signs, (-1, 0, 1)).all():
@@ -79,6 +80,10 @@ class CouplingMatrix:
             raise ValueError("no self-coupling: diagonal must be zero")
         if not (np.array_equal(codes, codes.T) and np.array_equal(signs, signs.T)):
             raise ValueError("coupling planes must be symmetric")
+
+    @property
+    def n(self) -> int:
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,6 @@ class MachineConfig:
     coupling: CouplingMatrix
     global_scale: float = DEFAULT_GLOBAL_SCALE
     shil_amplitude: float | None = None
-    sync_enabled: bool = False
     f0: float = DEFAULT_F0_HZ
     detuning: tuple[float, ...] = ()
     noise_sigma: float = 0.0
@@ -136,8 +140,7 @@ def build_coupling(g: Graph, quantizer: Quantizer | None = None) -> CouplingMatr
     mags = np.abs(a)
     # zero weights, and a graph whose weights are all zero, keep code 0
     mags = np.divide(mags, mags.max(), out=np.zeros_like(mags), where=mags > 0)
-    return CouplingMatrix(n=g.n, codes=q.quantize(mags), signs=np.sign(a).astype(int),
-                          quantizer=q)
+    return CouplingMatrix(codes=q.quantize(mags), signs=np.sign(a).astype(int), quantizer=q)
 
 
 def build_machine(
@@ -149,12 +152,11 @@ def build_machine(
     detuning: tuple[float, ...] = (),
     noise_sigma: float = 0.0,
 ) -> MachineConfig:
-    """Machine sized for the given graph, sync initially off (protocol step 1)."""
+    """Machine sized for the given graph."""
     return MachineConfig(
         coupling=build_coupling(g, quantizer),
         global_scale=global_scale,
         shil_amplitude=shil_amplitude,
-        sync_enabled=False,
         f0=f0,
         detuning=detuning,
         noise_sigma=noise_sigma,
@@ -165,7 +167,7 @@ def effective_weights(m: MachineConfig) -> np.ndarray:
     """Net coupling weights w_ij = global_scale * sign * dequantized code.
 
     This already includes the summer chain's double inversion (net positive
-    sum); it does not apply the sync gate, which the dynamics handle.
+    sum).
     """
     q = m.coupling.quantizer
     mags = m.coupling.codes / q.max_code
@@ -186,11 +188,6 @@ def resolve_shil_strength(m: MachineConfig) -> float:
     if rowsum == 0.0:
         return DEFAULT_SHIL_STRENGTH
     return min(DEFAULT_SHIL_STRENGTH, SHIL_ROWSUM_FRACTION * rowsum)
-
-
-def set_sync(m: MachineConfig, on: bool) -> MachineConfig:
-    """Gate every sync input at once; off means zero coupling and zero SHIL."""
-    return dataclasses.replace(m, sync_enabled=bool(on))
 
 
 def set_global_scale(m: MachineConfig, scale: float) -> MachineConfig:

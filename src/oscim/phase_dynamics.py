@@ -14,8 +14,8 @@ where K = -(effective machine weights) is the coupling in the Ising
 J-convention (a positive edge weight therefore *destabilizes* the in-phase
 state and locks the pair in antiphase), delta_i are relative frequency
 offsets and Ks is the SHIL injection strength pinning each phase to
-{0, pi}.  With the sync gate open the drive terms vanish and only the
-detuning remains.
+{0, pi}.  K and Ks are the drives with the sync gate on; the gate-off
+free run of the protocol is the draw of random initial phases.
 
 The coupling sum is evaluated in the factored (mean-field) form
 
@@ -71,9 +71,7 @@ def binary_distance(theta):
 
 
 def coupling_terms(m: MachineConfig) -> tuple[np.ndarray, float]:
-    """(K, Ks) as seen by the dynamics; both zero with the sync gate off."""
-    if not m.sync_enabled:
-        return np.zeros((m.n, m.n)), 0.0
+    """(K, Ks) as seen by the dynamics with the sync gate on."""
     return -effective_weights(m), resolve_shil_strength(m)
 
 
@@ -95,10 +93,7 @@ def _checked_phases(theta, m: MachineConfig) -> np.ndarray:
 
 
 def phase_derivative(theta, m: MachineConfig) -> np.ndarray:
-    """Rates dtheta/dtau per radian time (2*pi*f0*t_seconds) at phases theta (n,).
-
-    With sync off only the detuning terms remain.
-    """
+    """Rates dtheta/dtau per radian time (2*pi*f0*t_seconds) at phases theta (n,)."""
     K, Ks = coupling_terms(m)
     return _rhs(_checked_phases(theta, m), K, Ks, np.asarray(m.detuning))
 

@@ -106,22 +106,25 @@ class Graph:
 
 @dataclass(frozen=True)
 class IsingProblem:
-    """Couplings J (symmetric, zero diagonal), fields h, constant offset."""
+    """Couplings J (n x n, symmetric, zero diagonal), fields h (n,), constant offset."""
 
-    n: int
     J: np.ndarray
     h: np.ndarray
     offset: float = 0.0
 
     def __post_init__(self):
-        J = freeze_array(self, "J", (self.n, self.n))
-        h = freeze_array(self, "h", (self.n,))
+        J = freeze_array(self, "J", (len(self.J),) * 2)
+        h = freeze_array(self, "h", J.shape[:1])
         if not (np.isfinite(J).all() and np.isfinite(h).all() and np.isfinite(self.offset)):
             raise ValueError("J, h, offset must be finite")
         if np.any(np.diag(J) != 0.0):
             raise ValueError("J must have zero diagonal")
         if not np.array_equal(J, J.T):
             raise ValueError("J must be symmetric")
+
+    @property
+    def n(self) -> int:
+        return len(self.J)
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,19 @@ class Qubo:
     (x_i^2 = x_i for binary x).
     """
 
-    n: int
     Q: np.ndarray
     offset: float = 0.0
 
     def __post_init__(self):
-        Q = freeze_array(self, "Q", (self.n, self.n))
+        Q = freeze_array(self, "Q", (len(self.Q),) * 2)
         if not (np.isfinite(Q).all() and np.isfinite(self.offset)):
             raise ValueError("Q and offset must be finite")
         if np.any(np.tril(Q, -1) != 0.0):
             raise ValueError("Q must be upper-triangular (zeros below the diagonal)")
+
+    @property
+    def n(self) -> int:
+        return len(self.Q)
 
 
 def validate_spins(spins, n: int) -> np.ndarray:
@@ -156,8 +162,7 @@ def validate_spins(spins, n: int) -> np.ndarray:
 
 def graph_to_ising(g: Graph) -> IsingProblem:
     """Map a max-cut instance to Ising couplings (J = -weight, h = 0)."""
-    J = -g.adjacency()
-    return IsingProblem(n=g.n, J=J, h=np.zeros(g.n), offset=0.0)
+    return IsingProblem(J=-g.adjacency(), h=np.zeros(g.n))
 
 
 def energies(p: IsingProblem, spins) -> np.ndarray:
@@ -165,15 +170,16 @@ def energies(p: IsingProblem, spins) -> np.ndarray:
 
     Each row subtracts its pair terms J_ij s_i s_j (i < j, row-major), then
     its field terms h_j s_j, one at a time, and adds the offset last, so
-    every caller scores a configuration bit for bit alike.
+    every caller scores a configuration bit for bit alike: one
+    ``np.subtract.reduce``, which numpy does not pair-sum, per row block.
     """
     s = np.asarray(spins)
-    e = np.zeros(s.shape[0])
-    for i, j in zip(*np.nonzero(np.triu(p.J, 1))):
-        e -= p.J[i, j] * (s[:, i] * s[:, j])
-    for j in np.flatnonzero(p.h):
-        e -= p.h[j] * s[:, j]
-    return e + p.offset
+    i, j = np.nonzero(np.triu(p.J, 1))
+    f = np.flatnonzero(p.h)
+    coef = np.concatenate((p.J[i, j], p.h[f]))
+    e = [np.subtract.reduce(coef * np.hstack((b[:, i] * b[:, j], b[:, f])), axis=1, initial=0.0)
+         for b in np.array_split(s, (len(s) * len(coef) >> _TILE_BITS) + 1)]
+    return np.concatenate(e) + p.offset
 
 
 def energy(p: IsingProblem, spins) -> float:
@@ -204,6 +210,8 @@ def qubo_value(q: Qubo, x) -> float:
     xv = np.asarray(x, dtype=float)
     if xv.shape != (q.n,):
         raise ValueError(f"assignment must have length {q.n}")
+    if not np.isin(xv, (0.0, 1.0)).all():
+        raise ValueError("assignment entries must be 0 or 1")
     return float(xv @ q.Q @ xv) + q.offset
 
 
@@ -219,8 +227,7 @@ def qubo_to_ising(q: Qubo) -> IsingProblem:
     quarter = (upper + upper.T) / 4.0
     h = np.subtract.reduce(np.column_stack([0.0 - diag / 2.0, quarter]), axis=1)
     terms = np.concatenate([[q.offset + float(diag.sum()) / 2.0], upper[upper != 0.0] / 4.0])
-    offset = float(np.add.accumulate(terms)[-1])
-    return IsingProblem(n=q.n, J=0.0 - quarter, h=h, offset=offset)
+    return IsingProblem(J=0.0 - quarter, h=h, offset=float(np.add.accumulate(terms)[-1]))
 
 
 def ising_to_qubo(p: IsingProblem) -> Qubo:
@@ -228,8 +235,7 @@ def ising_to_qubo(p: IsingProblem) -> Qubo:
     Q = np.triu(-4.0 * p.J, 1)
     np.fill_diagonal(Q, 2.0 * p.J.sum(axis=1) - 2.0 * p.h)  # J's diagonal is zero
     tri_sum = 0.5 * float(p.J.sum())
-    offset = p.offset - tri_sum + float(p.h.sum())
-    return Qubo(n=p.n, Q=Q, offset=offset)
+    return Qubo(Q=Q, offset=p.offset - tri_sum + float(p.h.sum()))
 
 
 def _spin_rows(start: int, stop: int, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from oscim.harness import (
     run_many,
     sweep_coupling,
 )
-from oscim.machine import Quantizer, build_machine, set_sync
+from oscim.machine import Quantizer, build_machine
 from oscim.phase_dynamics import (
     coupling_terms,
     integrate_batch,
@@ -137,7 +137,7 @@ def test_criterion_03_antiphase_lock():
     edge = Graph(n=2, edges=((1, 2, 1.0),))
     failures = []
     for gs in (0.1, 0.2, 0.3):
-        m = set_sync(build_machine(edge, global_scale=gs), True)
+        m = build_machine(edge, global_scale=gs)
         K, Ks = coupling_terms(m)
         seeds = np.random.SeedSequence(90210).spawn(100)
         theta0 = np.stack([
@@ -319,7 +319,7 @@ def test_criterion_09_backend_agreement():
 def test_criterion_10_gradient_and_descent():
     rng = np.random.default_rng(1234)
     g = random_connected_graph(6, 0.6, rng)
-    m = set_sync(build_machine(g, global_scale=0.3), True)
+    m = build_machine(g, global_scale=0.3)
     h = 1e-6
     worst = 0.0
     for _ in range(100):
@@ -386,7 +386,7 @@ def test_criterion_12_qubo_round_trip():
         n = int(rng.integers(2, 9))
         # eighth-integer entries make every conversion step exact in floats
         Q = np.triu(rng.integers(-16, 17, (n, n)) / 8.0)
-        qubo = Qubo(n=n, Q=Q, offset=float(rng.integers(-8, 9) / 8.0))
+        qubo = Qubo(Q=Q, offset=float(rng.integers(-8, 9) / 8.0))
         ising = qubo_to_ising(qubo)
         back = ising_to_qubo(ising)
         spins = all_spins(n)

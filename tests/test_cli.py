@@ -296,6 +296,17 @@ class TestSweepCommand:
                   "--scales", "0.1,0.2", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_csv_and_best_line_are_pinned(self, tmp_path, capsys):
+        # sha256 of the CSV; the grid holds a point that never locks
+        graph, out = tmp_path / "w8.graph", tmp_path / "sweep.csv"
+        graph.write_text(WEIGHTED8_TEXT)
+        assert main(["sweep", "--graph", str(graph), "--runs", "8", "--seed", "3",
+                     "--noise", "0.05", "--scales", "0.02,0.1,0.2,0.3",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7993790596e381851baf8188d818d7fd235fd2d98a02a4e9bb4ffdcf271b1189")
+        assert capsys.readouterr().err == "best scale 0.1 (success_rate 1.000)\n"
+
 
 class TestConvert:
     def test_qubo_to_ising(self, tmp_path, capsys):
@@ -321,6 +332,25 @@ class TestConvert:
         q1 = json.loads(back.read_text())
         assert q1["Q"] == q0["Q"]
         assert q1["offset"] == pytest.approx(q0["offset"])
+
+    @pytest.mark.parametrize("doc, digest, err", [
+        ({"kind": "qubo", "n": 3, "offset": 0.1,
+          "Q": [[0.3, -1.1, 0.7], [0.0, 2.2, -0.1], [0.0, 0.0, -0.9]]},
+         "f09be77a17e33f6ef402fe4bcc5ecd615795273014fd7815145d700158c8e0d1",
+         "energy offset 0.775\n"),
+        ({"kind": "ising", "n": 3, "offset": -0.7, "h": [0.1, -0.2, 0.3],
+          "J": [[0.0, 0.3, -0.7], [0.3, 0.0, 1.1], [-0.7, 1.1, 0.0]]},
+         "e6d0bb6beb29114090ec05353b2155820dd7da45ed96727c3b8b165b9d001531",
+         "energy offset -1.2\n"),
+    ], ids=["qubo-to-ising", "ising-to-qubo"])
+    def test_output_is_pinned(self, tmp_path, capsys, doc, digest, err):
+        # sha256 of stdout on non-dyadic entries, whose last bits show the term order
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc))
+        assert main(["convert", "--in", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert captured.err == err
 
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

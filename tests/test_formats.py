@@ -59,14 +59,14 @@ class TestParseGraphFile:
 
 class TestProblemDocuments:
     def test_ising_round_trip(self):
-        p = IsingProblem(n=2, J=[[0.0, -1.0], [-1.0, 0.0]], h=[0.5, -0.5], offset=0.25)
+        p = IsingProblem(J=[[0.0, -1.0], [-1.0, 0.0]], h=[0.5, -0.5], offset=0.25)
         doc = json.loads(document_bytes(ising_to_document(p)))
         p2 = problem_from_document(doc)
         for s in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
             assert energy(p2, s) == energy(p, s)
 
     def test_qubo_round_trip(self):
-        q = Qubo(n=2, Q=[[1.0, -0.5], [0.0, 2.0]], offset=0.1)
+        q = Qubo(Q=[[1.0, -0.5], [0.0, 2.0]], offset=0.1)
         doc = json.loads(document_bytes(qubo_to_document(q)))
         q2 = problem_from_document(doc)
         for x in ([0, 0], [0, 1], [1, 0], [1, 1]):
@@ -83,6 +83,17 @@ class TestProblemDocuments:
             problem_from_document({"n": 2})
         with pytest.raises(GraphFormatError):
             problem_from_document({"n": 2, "Q": [[1.0]]})  # shape mismatch
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 2.5, "Q": [[1, 0], [0, 1]]}, "n must be a whole number, got 2.5"),
+        ({"n": 3, "Q": [[1, 0], [0, 1]]}, "n is 3 but the matrix is 2 x 2"),
+        ({"n": 1, "J": [[0, 1], [1, 0]], "h": [0, 0]}, "n is 1 but the matrix is 2 x 2"),
+    ])
+    def test_document_n_must_match_the_matrix(self, doc, message):
+        # documents still carry n; the problem types take their size from the arrays
+        with pytest.raises(GraphFormatError, match=message):
+            problem_from_document(doc)
+        assert problem_from_document({**doc, "n": 2.0}).n == 2
 
 
 class TestCsvWriters:

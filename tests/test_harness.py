@@ -28,7 +28,7 @@ K8_RUNG_SCALES = {25: 0.2, 40: 0.3, 200: 1.5}
 
 def protocol_steps_per_period(m):
     return phase_dynamics.steps_per_period_for(
-        *phase_dynamics.coupling_terms(harness.set_sync(m, True)))
+        *phase_dynamics.coupling_terms(m))
 
 
 def record_noise(monkeypatch, integrate=True):

@@ -1,4 +1,6 @@
-"""Machine model: quantizer law, coupling planes, sync gating."""
+"""Machine model: quantizer law, coupling planes, SHIL resolution."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,9 +14,8 @@ from oscim.machine import (
     build_machine,
     effective_weights,
     resolve_shil_strength,
-    set_sync,
 )
-from oscim.problems import Graph
+from oscim.problems import Graph, IsingProblem, Qubo
 
 
 class TestQuantizer:
@@ -58,6 +59,13 @@ class TestQuantizer:
         q = Quantizer(bits=4)
         assert q.max_code == 15
         assert q.quantize(1.0) == 15
+
+    def test_bits_take_whole_numbers_only(self):
+        q = Quantizer(bits=10.0)
+        assert type(q.bits) is int and q.max_code == 1023
+        for bits in (2.5, float("nan")):
+            with pytest.raises(ValueError, match=f"bits must be a whole number, got {bits}"):
+                Quantizer(bits=bits)
 
 
 class TestBuildCoupling:
@@ -179,13 +187,13 @@ class TestCouplingMatrixInvariants:
         codes = np.zeros((2, 2), int)
         codes[0, 0] = 5
         with pytest.raises(ValueError, match="diagonal"):
-            CouplingMatrix(n=2, codes=codes, signs=np.zeros((2, 2), int))
+            CouplingMatrix(codes=codes, signs=np.zeros((2, 2), int))
 
     def test_rejects_asymmetric_when_flagged(self):
         codes = np.zeros((2, 2), int)
         codes[0, 1] = 5
         with pytest.raises(ValueError, match="symmetric"):
-            CouplingMatrix(n=2, codes=codes, signs=np.zeros((2, 2), int))
+            CouplingMatrix(codes=codes, signs=np.zeros((2, 2), int))
 
     @pytest.mark.parametrize("field, bad", [("codes", 1.7), ("signs", 1.9),
                                             ("signs", float("nan"))])
@@ -194,12 +202,34 @@ class TestCouplingMatrixInvariants:
         planes = {"codes": np.zeros((2, 2)), "signs": np.zeros((2, 2))}
         planes[field][0, 1] = planes[field][1, 0] = bad
         with pytest.raises(ValueError, match=f"{field} must hold whole numbers, got {bad}"):
-            CouplingMatrix(n=2, **planes)
+            CouplingMatrix(**planes)
+
+    @pytest.mark.parametrize("codes, signs, message", [
+        (np.zeros((2, 2)), np.zeros((3, 3)), r"signs must have shape \(2, 2\), got \(3, 3\)"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), r"codes must have shape \(2, 2\), got \(2, 3\)"),
+    ], ids=["signs-of-another-shape", "non-square-codes"])
+    def test_size_comes_from_the_codes(self, codes, signs, message):
+        with pytest.raises(ValueError, match=message):
+            CouplingMatrix(codes=codes, signs=signs)
+        assert CouplingMatrix(codes=np.zeros((3, 3)), signs=np.zeros((3, 3))).n == 3
 
     def test_accepts_whole_floats(self):
-        c = CouplingMatrix(n=2, codes=[[0.0, 3.0], [3.0, 0.0]], signs=[[0, -1.0], [-1.0, 0]])
+        c = CouplingMatrix(codes=[[0.0, 3.0], [3.0, 0.0]], signs=[[0, -1.0], [-1.0, 0]])
         assert c.codes.dtype == c.signs.dtype == int
         assert (c.codes[0, 1], c.signs[0, 1]) == (3, -1)
+
+
+def test_only_independent_values_are_settable():
+    # sizes follow the arrays and the sync gate is a protocol step, not a field
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (MachineConfig, CouplingMatrix, IsingProblem, Qubo)}
+    assert fields == {
+        "MachineConfig": ["coupling", "global_scale", "shil_amplitude", "f0", "detuning",
+                          "noise_sigma"],
+        "CouplingMatrix": ["codes", "signs", "quantizer"],
+        "IsingProblem": ["J", "h", "offset"],
+        "Qubo": ["Q", "offset"],
+    }
 
 
 class TestMachineConfigValidation:
@@ -257,7 +287,7 @@ class TestEffectiveWeights:
     def test_code_sign_scale_composition(self):
         codes = np.array([[0, 307], [307, 0]])
         signs = np.array([[0, -1], [-1, 0]])
-        c = CouplingMatrix(n=2, codes=codes, signs=signs)
+        c = CouplingMatrix(codes=codes, signs=signs)
         m = MachineConfig(coupling=c, global_scale=0.5)
         assert effective_weights(m)[0, 1] == pytest.approx(-0.150049, abs=1e-6)
 
@@ -271,25 +301,6 @@ class TestEffectiveWeights:
         w = effective_weights(m)
         assert np.array_equal(w, w.T)
         assert np.all(np.diag(w) == 0.0)
-
-
-class TestSyncGate:
-    def test_set_sync_returns_new_config(self):
-        m = build_machine(Graph(n=2, edges=((1, 2, 1.0),)))
-        assert not m.sync_enabled
-        m_on = set_sync(m, True)
-        assert m_on.sync_enabled
-        assert not m.sync_enabled  # original untouched
-
-    def test_gate_zeroes_dynamics_drive(self):
-        from oscim.phase_dynamics import phase_derivative
-
-        g = Graph(n=2, edges=((1, 2, 1.0),))
-        m = build_machine(g, global_scale=0.3)
-        state = np.array([0.3, 2.0])
-        assert np.all(phase_derivative(state, m) == 0.0)
-        m_on = set_sync(m, True)
-        assert np.any(phase_derivative(state, m_on) != 0.0)
 
 
 class TestShilResolution:

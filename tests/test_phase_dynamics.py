@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscim.errors import SimulationDiverged
-from oscim.machine import build_machine, set_sync
+from oscim.machine import build_machine
 from oscim.phase_dynamics import (
     DEFAULT_STEPS_PER_PERIOD,
     STEP_RUNGS,
@@ -28,7 +28,7 @@ EDGE = Graph(n=2, edges=((1, 2, 1.0),))
 
 
 def machine_on(g=EDGE, **kw):
-    return set_sync(build_machine(g, **kw), True)
+    return build_machine(g, **kw)
 
 
 class TestPhaseDerivative:
@@ -38,7 +38,7 @@ class TestPhaseDerivative:
         assert np.allclose(d, 0.0, atol=1e-12)
 
     def test_sync_off_gives_detuning_only(self):
-        m = build_machine(EDGE, detuning=(0.01, -0.02))
+        m = build_machine(EDGE, global_scale=0.0, shil_amplitude=0.0, detuning=(0.01, -0.02))
         d = phase_derivative(np.array([0.3, 1.1]), m)
         assert np.allclose(d, [0.01, -0.02])
 
@@ -204,7 +204,7 @@ class TestRandomInitialPhases:
 class TestSimulate:
     def test_constant_without_coupling_or_shil(self):
         g = Graph(n=2, edges=())
-        m = set_sync(build_machine(g, shil_amplitude=0.0), True)
+        m = build_machine(g, shil_amplitude=0.0)
         init = np.array([0.4, 1.9])
         _, thetas = simulate(m, init, duration_periods=3.0)
         assert np.allclose(thetas[-1], init, atol=1e-12)
@@ -381,7 +381,7 @@ class TestStepRule:
     def test_sparse_weighted_graph_gets_the_coarsest_rung(self):
         rng = np.random.default_rng(20)
         for _ in range(4):
-            m = set_sync(build_machine(bench_style_graph(rng)), True)
+            m = build_machine(bench_style_graph(rng))
             assert steps_per_period_for(*coupling_terms(m)) == 25
 
     def test_no_coupling_gets_the_coarsest_rung(self):
@@ -399,7 +399,7 @@ class TestStepRule:
         times, thetas = phase_protocol_run(m, RunSchedule(settle_periods=10.0), seeds)
         theta0 = np.stack([random_initial_phases(n, np.random.default_rng(s))
                            for s in seeds])
-        K, Ks = coupling_terms(set_sync(m, True))
+        K, Ks = coupling_terms(m)
         ref_times, ref = integrate_batch(theta0, K, Ks, np.zeros(n), 10.0,
                                          steps_per_period=400)
         spins, resolved = spins_from_phases(thetas[-1])

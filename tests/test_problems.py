@@ -15,6 +15,7 @@ from oscim.problems import (
     brute_force_max_cut,
     cut_value,
     cut_values,
+    energies,
     energy,
     graph_to_ising,
     ising_to_qubo,
@@ -99,11 +100,11 @@ class TestGraphToIsing:
 
 class TestEnergy:
     def test_aligned_pair(self):
-        p = IsingProblem(n=2, J=[[0, -1], [-1, 0]], h=[0, 0])
+        p = IsingProblem(J=[[0, -1], [-1, 0]], h=[0, 0])
         assert energy(p, [1, 1]) == 1.0
 
     def test_antialigned_pair(self):
-        p = IsingProblem(n=2, J=[[0, -1], [-1, 0]], h=[0, 0])
+        p = IsingProblem(J=[[0, -1], [-1, 0]], h=[0, 0])
         assert energy(p, [1, -1]) == -1.0
 
     def test_triangle_ground_state(self):
@@ -113,14 +114,39 @@ class TestEnergy:
         assert min(energy(p, s) for s in all_spin_configs(3)) == -1.0
 
     def test_field_term(self):
-        p = IsingProblem(n=2, J=np.zeros((2, 2)), h=[1.0, 0.0])
+        p = IsingProblem(J=np.zeros((2, 2)), h=[1.0, 0.0])
         assert energy(p, [1, 1]) == -1.0
         assert energy(p, [-1, 1]) == 1.0
 
     def test_dimension_mismatch(self):
-        p = IsingProblem(n=2, J=np.zeros((2, 2)), h=np.zeros(2))
+        p = IsingProblem(J=np.zeros((2, 2)), h=np.zeros(2))
         with pytest.raises(ValueError):
             energy(p, [1, 1, 1])
+
+    def test_size_comes_from_j(self):
+        assert IsingProblem(J=np.zeros((3, 3)), h=np.zeros(3)).n == 3
+        with pytest.raises(ValueError, match=r"h must have shape \(3,\), got \(2,\)"):
+            IsingProblem(J=np.zeros((3, 3)), h=np.zeros(2))
+        with pytest.raises(ValueError, match=r"J must have shape \(2, 2\), got \(2, 3\)"):
+            IsingProblem(J=np.zeros((2, 3)), h=np.zeros(2))
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_rows_match_the_per_term_loop(self, n):
+        # the order the docstring states, one term at a time; random
+        # non-dyadic entries make every rounding step show in the bits
+        rng = np.random.default_rng(n)
+        J = np.triu(rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.7), 1) / 3.0
+        h = rng.uniform(-1, 1, n) * (rng.random(n) < 0.6) / 7.0
+        p = IsingProblem(J=J + J.T, h=h, offset=float(rng.uniform(-5, 5)) / 3.0)
+        s = (1 - 2 * (rng.random((3000, n)) < 0.5)).astype(np.int8)
+        e = np.zeros(len(s))
+        for i, j in zip(*np.nonzero(np.triu(p.J, 1))):
+            e -= p.J[i, j] * (s[:, i] * s[:, j])
+        for j in np.flatnonzero(p.h):
+            e -= p.h[j] * s[:, j]
+        assert np.array_equal(energies(p, s), e + p.offset)
+        # one row at a time, numpy would pair-sum an add.reduce along the terms
+        assert np.array_equal([energies(p, r[None])[0] for r in s[:200]], (e + p.offset)[:200])
 
 
 class TestCutValue:
@@ -302,7 +328,7 @@ class TestBruteForce:
 
 class TestGroundStates:
     def test_antiferromagnetic_pair(self):
-        p = IsingProblem(n=2, J=[[0, -1], [-1, 0]], h=[0, 0])
+        p = IsingProblem(J=[[0, -1], [-1, 0]], h=[0, 0])
         emin, configs = brute_force_ground_states(p)
         assert emin == -1.0
         assert configs == {(1, -1), (-1, 1)}
@@ -313,7 +339,7 @@ class TestGroundStates:
         assert len(configs) == 6
 
     def test_field_only(self):
-        p = IsingProblem(n=2, J=np.zeros((2, 2)), h=[1.0, 0.0])
+        p = IsingProblem(J=np.zeros((2, 2)), h=[1.0, 0.0])
         emin, configs = brute_force_ground_states(p)
         assert emin == -1.0
         assert configs == {(1, 1), (1, -1)}
@@ -341,7 +367,7 @@ class TestGroundStates:
         rng = np.random.default_rng(12)
         for n in range(1, 8):
             J = np.triu(rng.integers(-2, 3, (n, n)) / 2.0, 1)
-            p = IsingProblem(n=n, J=J + J.T, h=rng.integers(-2, 3, n) / 2.0)
+            p = IsingProblem(J=J + J.T, h=rng.integers(-2, 3, n) / 2.0)
             assert brute_force_ground_states(p) == self.full_enumeration(p)
 
     @pytest.mark.parametrize("tile_bits", [_TILE_BITS, 3])
@@ -354,7 +380,7 @@ class TestGroundStates:
         values = [-0.7, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.6]
         for n in range(1, 11):
             J = np.triu(rng.choice(values, (n, n)) * (rng.random((n, n)) < 0.6), 1)
-            p = IsingProblem(n=n, J=J + J.T, h=rng.choice([0.0, 0.1, -0.2, 0.3], n),
+            p = IsingProblem(J=J + J.T, h=rng.choice([0.0, 0.1, -0.2, 0.3], n),
                              offset=float(rng.choice([0.0, 0.1, -2.7])))
             assert brute_force_ground_states(p) == self.full_enumeration(p)
 
@@ -363,7 +389,7 @@ class TestGroundStates:
         # adding a large offset rounds distinct energies to one float: at 1e16
         # (ulp 2) -1.75 and -1.25 both land on 1e16 - 2, at 1e17 (ulp 16) all
         # eight energies land on 1e17, and every such state is a ground state
-        p = IsingProblem(n=3, J=[[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]], h=[0.25, 0, 0],
+        p = IsingProblem(J=[[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]], h=[0.25, 0, 0],
                          offset=offset)
         emin, configs = brute_force_ground_states(p)
         assert (emin, configs) == self.full_enumeration(p)
@@ -376,7 +402,7 @@ class TestGroundStates:
         n = 18
         rng = np.random.default_rng(7)
         J = np.triu(rng.choice([-1.0, -0.5, 0.5, 1.0], (n, n)), 1)
-        p = IsingProblem(n=n, J=J + J.T, h=rng.choice([-0.5, 0.25], n), offset=1e16)
+        p = IsingProblem(J=J + J.T, h=rng.choice([-0.5, 0.25], n), offset=1e16)
         tracemalloc.start()
         try:
             emin, configs = brute_force_ground_states(p)
@@ -397,7 +423,7 @@ class TestGroundStates:
         rng = np.random.default_rng(2500 + n)
         J = np.triu(rng.choice([-1.0, -0.5, 0.5, 1.0], (n, n)) * (rng.random((n, n)) < 0.25), 1)
         h = rng.choice([-0.5, 0.0, 0.0, 0.25], n)
-        p = IsingProblem(n=n, J=J + J.T, h=h, offset=float(rng.integers(-8, 9)) / 4.0)
+        p = IsingProblem(J=J + J.T, h=h, offset=float(rng.integers(-8, 9)) / 4.0)
         emin, configs = brute_force_ground_states(p)
         text = repr((emin, sorted(configs)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -409,7 +435,7 @@ class TestGroundStates:
         tracemalloc.start()
         try:
             emin, configs = brute_force_ground_states(
-                IsingProblem(n=n, J=np.zeros((n, n)), h=np.zeros(n)))
+                IsingProblem(J=np.zeros((n, n)), h=np.zeros(n)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -419,7 +445,7 @@ class TestGroundStates:
 
 class TestQuboConversions:
     def test_single_variable(self):
-        q = Qubo(n=1, Q=[[1.0]])
+        q = Qubo(Q=[[1.0]])
         p = qubo_to_ising(q)
         assert p.h[0] == -0.5
         assert p.offset == 0.5
@@ -427,9 +453,9 @@ class TestQuboConversions:
         assert energy(p, [1]) == qubo_value(q, [1])
 
     def test_zero_problem(self):
-        p = qubo_to_ising(Qubo(n=3, Q=np.zeros((3, 3))))
+        p = qubo_to_ising(Qubo(Q=np.zeros((3, 3))))
         assert np.all(p.J == 0) and np.all(p.h == 0) and p.offset == 0
-        q = ising_to_qubo(IsingProblem(n=2, J=np.zeros((2, 2)), h=np.zeros(2)))
+        q = ising_to_qubo(IsingProblem(J=np.zeros((2, 2)), h=np.zeros(2)))
         assert np.all(q.Q == 0) and q.offset == 0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -437,7 +463,7 @@ class TestQuboConversions:
         rng = np.random.default_rng(seed)
         n = 4
         Q = np.triu(rng.uniform(-2, 2, (n, n)))
-        q = Qubo(n=n, Q=Q, offset=float(rng.uniform(-1, 1)))
+        q = Qubo(Q=Q, offset=float(rng.uniform(-1, 1)))
         p = qubo_to_ising(q)
         for s in all_spin_configs(n):
             x = (1 + s) / 2
@@ -450,20 +476,32 @@ class TestQuboConversions:
         J = rng.uniform(-1, 1, (n, n))
         J = (J + J.T) / 2
         np.fill_diagonal(J, 0.0)
-        p = IsingProblem(n=n, J=J, h=rng.uniform(-1, 1, n), offset=0.3)
+        p = IsingProblem(J=J, h=rng.uniform(-1, 1, n), offset=0.3)
         p2 = qubo_to_ising(ising_to_qubo(p))
         for s in all_spin_configs(n):
             assert energy(p2, s) == pytest.approx(energy(p, s), abs=1e-12)
 
     def test_recovers_linear_objective(self):
-        q0 = Qubo(n=1, Q=[[1.0]])
+        q0 = Qubo(Q=[[1.0]])
         q1 = ising_to_qubo(qubo_to_ising(q0))
         assert q1.Q[0, 0] == pytest.approx(1.0)
         assert q1.offset == pytest.approx(0.0)
 
     def test_rejects_lower_triangle(self):
         with pytest.raises(ValueError, match="upper-triangular"):
-            Qubo(n=2, Q=[[1.0, 0.0], [0.5, 1.0]])
+            Qubo(Q=[[1.0, 0.0], [0.5, 1.0]])
+
+    def test_size_comes_from_q(self):
+        assert Qubo(Q=np.zeros((3, 3))).n == 3
+        with pytest.raises(ValueError, match=r"Q must have shape \(2, 2\), got \(2, 3\)"):
+            Qubo(Q=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("x", [[2, 0], [0.5, 1], [-1, 0], [np.nan, 0]])
+    def test_value_takes_binary_assignments_only(self, x):
+        q = Qubo(Q=[[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            qubo_value(q, x)
+        assert qubo_value(q, [1.0, 1]) == 3.0
 
 
 def _reference_qubo_to_ising(q):
@@ -526,7 +564,7 @@ class TestConversionBits:
             n = 1 + k % 40
             Q = np.triu(_awkward_values(rng, (n, n)))
             Q[np.tril_indices(n, -1)] = rng.choice([0.0, -0.0], n * (n - 1) // 2)
-            q = Qubo(n=n, Q=Q, offset=float(_awkward_values(rng, 1)[0]))
+            q = Qubo(Q=Q, offset=float(_awkward_values(rng, 1)[0]))
             p = qubo_to_ising(q)
             J, h, offset = _reference_qubo_to_ising(q)
             assert _bits(p.J) == _bits(J), k
@@ -541,7 +579,7 @@ class TestConversionBits:
             J = J + J.T
             zeros = np.nonzero(J == 0.0)
             J[zeros] = rng.choice([0.0, -0.0], len(zeros[0]))  # signed zeros on either side
-            p = IsingProblem(n=n, J=J, h=_awkward_values(rng, n),
+            p = IsingProblem(J=J, h=_awkward_values(rng, n),
                              offset=float(_awkward_values(rng, 1)[0]))
             q = ising_to_qubo(p)
             Q, offset = _reference_ising_to_qubo(p)
@@ -550,6 +588,6 @@ class TestConversionBits:
 
     def test_negative_zeros_survive(self):
         # a zero coupling becomes a -0.0 QUBO entry, as the convert command prints it
-        q = ising_to_qubo(IsingProblem(n=3, J=np.zeros((3, 3)), h=np.zeros(3)))
+        q = ising_to_qubo(IsingProblem(J=np.zeros((3, 3)), h=np.zeros(3)))
         assert np.signbit(q.Q[np.triu_indices(3, 1)]).all()
         assert not np.signbit(np.tril(q.Q)).any()
