@@ -27,11 +27,11 @@ rows = sweep_coupling(
 )
 
 print("scale | success | mean lock | locked | unresolved")
-for r in rows:
+for scale, r in rows:
     lock = "   -  " if r.mean_lock_period is None else f"{r.mean_lock_period:6.2f}"
-    print(f" {r.scale:4.2f} |  {r.success_rate:5.2f}  |  {lock}   | "
+    print(f" {scale:4.2f} |  {r.success_rate:5.2f}  |  {lock}   | "
           f"{r.locked_fraction:5.0%} | {r.unresolved_rate:6.1%}")
 
-best = best_operating_point(rows)
-print(f"\nchosen operating point: scale {best.scale} "
+best_scale, best = best_operating_point(rows)
+print(f"\nchosen operating point: scale {best_scale} "
       f"(success {best.success_rate:.2f}, unresolved {best.unresolved_rate:.1%})")

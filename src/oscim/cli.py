@@ -111,14 +111,15 @@ def cmd_solve(args) -> int:
         seed=args.seed, parallel=not args.sequential,
     )
     optimum, optimal = oracle_max_cut(g)  # cached by run_many
-    per_opt = {bits: stats.histogram.get(bits, 0) / stats.runs for bits in optimal}
+    histogram = stats.histogram  # each read builds it anew; bound once for every maximizer
+    per_opt = {bits: histogram.get(bits, 0) / stats.runs for bits in optimal}
     doc = {
         "command": "solve",
         "oracle": {
             "optimum": optimum,
             "optimal_bitstrings": list(optimal),
         },
-        "histogram": dict(sorted(stats.histogram.items())),
+        "histogram": histogram,
         "success_rate": stats.success_rate,
         "mean_lock_period": stats.mean_lock_period,
         "locked_fraction": stats.locked_fraction,
@@ -166,9 +167,9 @@ def cmd_sweep(args) -> int:
     )
     buf = io.StringIO()
     write_sweep_csv(buf, rows)
-    best = best_operating_point(rows)
+    best_scale, best = best_operating_point(rows)
     sys.stderr.write(
-        f"best scale {best.scale} (success_rate {best.success_rate:.3f})\n"
+        f"best scale {best_scale} (success_rate {best.success_rate:.3f})\n"
     )
     _write_out(buf.getvalue(), args.out)
     return 0

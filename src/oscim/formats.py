@@ -86,8 +86,8 @@ def problem_from_document(doc: dict) -> IsingProblem | Qubo:
         raise GraphFormatError("cannot detect problem kind (expected 'Q' or 'J' matrix)")
     try:
         n = _whole_number(doc["n"], "n")
-        offset = float(doc.get("offset", 0.0))
-        # the constructors convert and check the matrices themselves
+        offset = doc.get("offset", 0.0)
+        # the constructors convert and check the matrices and the offset themselves
         problem = (Qubo(Q=doc["Q"], offset=offset) if kind == "qubo"
                    else IsingProblem(J=doc["J"], h=doc["h"], offset=offset))
         if problem.n != n:
@@ -113,8 +113,9 @@ def write_trace_csv(fp: TextIO, times, values, sync_flags) -> None:
 
 
 def write_sweep_csv(fp: TextIO, rows) -> None:
-    """Sweep table: ``scale,success_rate,mean_lock_period`` per row."""
+    """Sweep table: ``scale,success_rate,mean_lock_period`` per (scale, stats) row."""
     fp.write("scale,success_rate,mean_lock_period\n")
-    for r in rows:
-        lock = "" if r.mean_lock_period is None else repr(float(r.mean_lock_period))
-        fp.write(f"{r.scale!r},{r.success_rate!r},{lock}\n")
+    for scale, stats in rows:
+        lock = stats.mean_lock_period
+        lock = "" if lock is None else repr(float(lock))
+        fp.write(f"{scale!r},{stats.success_rate!r},{lock}\n")

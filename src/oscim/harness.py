@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import circuit_dynamics as circuit
 from . import phase_dynamics as phase
-from .machine import MachineConfig, set_global_scale
+from .machine import MachineConfig
 from .problems import Graph, brute_force_max_cut, cut_values
 from .readout import lock_period, spins_from_phases
 
@@ -78,31 +78,44 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Aggregate over runs, plus the runs themselves in seed order.
+    """The runs in seed order; every aggregate is derived from them.
 
-    Histogram keys are normalized bitstrings.
+    Histogram keys are normalized bitstrings, in first-seen order.  Each
+    aggregate is a Python ``sum`` over the runs in order, so its bits do not
+    depend on how the runs were executed.
     """
 
-    histogram: dict[str, int]
-    runs: int
-    success_rate: float
-    mean_lock_period: float | None
-    locked_fraction: float
-    unresolved_rate: float
     run_results: tuple[RunResult, ...]
 
-    def __post_init__(self):
-        if sum(self.histogram.values()) != self.runs:
-            raise ValueError("histogram counts must sum to the number of runs")
+    @property
+    def runs(self) -> int:
+        return len(self.run_results)
 
+    @property
+    def histogram(self) -> dict[str, int]:
+        """A new dict per read; editing it leaves the runs unchanged."""
+        histogram: dict[str, int] = {}
+        for r in self.run_results:
+            histogram[r.bitstring] = histogram.get(r.bitstring, 0) + 1
+        return histogram
 
-@dataclass(frozen=True)
-class SweepPoint:
-    scale: float
-    success_rate: float
-    mean_lock_period: float | None
-    locked_fraction: float
-    unresolved_rate: float
+    @property
+    def success_rate(self) -> float:
+        return sum(r.optimal for r in self.run_results) / self.runs
+
+    @property
+    def mean_lock_period(self) -> float | None:
+        locks = [r.lock_period for r in self.run_results if r.lock_period is not None]
+        return (sum(locks) / len(locks)) if locks else None
+
+    @property
+    def locked_fraction(self) -> float:
+        return sum(r.lock_period is not None for r in self.run_results) / self.runs
+
+    @property
+    def unresolved_rate(self) -> float:
+        n_spins = len(self.run_results[0].bitstring)
+        return sum(r.unresolved_count for r in self.run_results) / (n_spins * self.runs)
 
 
 def _bitstring(spins) -> str:
@@ -255,25 +268,7 @@ def run_many(
             spins, resolved = circuit.run_readout_batch(m, sched, batch)
             locks = [None] * len(batch)
         results.extend(_run_results(g, optimum, spins, resolved, locks))
-    return _aggregate(results)
-
-
-def _aggregate(results: list[RunResult]) -> RunStats:
-    histogram: dict[str, int] = {}
-    for r in results:
-        histogram[r.bitstring] = histogram.get(r.bitstring, 0) + 1
-    locks = [r.lock_period for r in results if r.lock_period is not None]
-    n_spins = len(results[0].bitstring)
-    return RunStats(
-        histogram=histogram,
-        runs=len(results),
-        success_rate=sum(r.optimal for r in results) / len(results),
-        mean_lock_period=(sum(locks) / len(locks)) if locks else None,
-        locked_fraction=len(locks) / len(results),
-        unresolved_rate=sum(r.unresolved_count for r in results)
-        / (n_spins * len(results)),
-        run_results=tuple(results),
-    )
+    return RunStats(tuple(results))
 
 
 def sweep_coupling(
@@ -284,44 +279,36 @@ def sweep_coupling(
     scales: tuple[float, ...] = (),
     runs_per_point: int = 50,
     seed: int = 0,
-) -> list[SweepPoint]:
-    """One RunStats row per global coupling scale; deterministic."""
+) -> list[tuple[float, RunStats]]:
+    """One (scale, RunStats) row per global coupling scale; deterministic.
+
+    Row i runs ``run_many`` with child i of ``SeedSequence(seed)``.
+    """
     if not scales:
         raise ValueError("scale list must be nonempty")
     # every scale's machine is checked before the first run
-    machines = [set_global_scale(m, scale) for scale in scales]
-    rows = []
+    machines = [replace(m, global_scale=float(scale)) for scale in scales]
     children = np.random.SeedSequence(seed).spawn(len(scales))
-    for scaled, child in zip(machines, children):
-        stats = run_many(
-            g, scaled, backend, sched,
-            runs=runs_per_point, seed=child, parallel=True,
-        )
-        rows.append(
-            SweepPoint(
-                scale=scaled.global_scale,
-                success_rate=stats.success_rate,
-                mean_lock_period=stats.mean_lock_period,
-                locked_fraction=stats.locked_fraction,
-                unresolved_rate=stats.unresolved_rate,
-            )
-        )
-    return rows
+    return [
+        (scaled.global_scale,
+         run_many(g, scaled, backend, sched, runs=runs_per_point, seed=child, parallel=True))
+        for scaled, child in zip(machines, children)
+    ]
 
 
-def best_operating_point(rows: list[SweepPoint]) -> SweepPoint:
+def best_operating_point(rows: list[tuple[float, RunStats]]) -> tuple[float, RunStats]:
     """Operating point: highest success among well-binarized scales.
 
     When no cleanly binarized scale reaches the target success, fall back to
     the least-unresolved scale among those within 0.05 of the best success,
     trading some readout ambiguity for solution quality.
     """
-    clean = [r for r in rows if r.unresolved_rate <= MAX_UNRESOLVED]
+    clean = [r for r in rows if r[1].unresolved_rate <= MAX_UNRESOLVED]
     if clean:
-        best_clean = max(clean, key=lambda r: (r.success_rate, -r.scale))
-        if best_clean.success_rate >= TARGET_SUCCESS:
+        best_clean = max(clean, key=lambda r: (r[1].success_rate, -r[0]))
+        if best_clean[1].success_rate >= TARGET_SUCCESS:
             return best_clean
-    best_sr = max(r.success_rate for r in rows)
-    near = [r for r in rows if r.success_rate >= max(TARGET_SUCCESS, best_sr - 0.05)]
+    best_sr = max(stats.success_rate for _, stats in rows)
+    near = [r for r in rows if r[1].success_rate >= max(TARGET_SUCCESS, best_sr - 0.05)]
     pool = near or rows
-    return min(pool, key=lambda r: (r.unresolved_rate, -r.success_rate))
+    return min(pool, key=lambda r: (r[1].unresolved_rate, -r[1].success_rate))

@@ -10,7 +10,6 @@ gate is a step of the run protocol (``harness``), not machine state.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,7 +187,3 @@ def resolve_shil_strength(m: MachineConfig) -> float:
     if rowsum == 0.0:
         return DEFAULT_SHIL_STRENGTH
     return min(DEFAULT_SHIL_STRENGTH, SHIL_ROWSUM_FRACTION * rowsum)
-
-
-def set_global_scale(m: MachineConfig, scale: float) -> MachineConfig:
-    return dataclasses.replace(m, global_scale=float(scale))

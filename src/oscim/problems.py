@@ -23,11 +23,20 @@ MAX_BRUTE_FORCE_N = 24
 _TILE_BITS = 16
 
 
+def _numeric(x, what: str) -> np.ndarray:
+    """x as an array of ints or floats; bool, str and object input raise ValueError."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be numeric, got {a.dtype.name} input")
+    return a
+
+
 def _whole_number(x, what: str) -> int:
-    """x as an int; whole numbers only (1.0 passes, 1.9 does not)."""
-    if not float(x).is_integer():  # False on NaN and +-inf too
+    """x as an int; one whole number only (1.0 passes; 1.9, True and "1" do not)."""
+    a = _numeric(x, what)
+    if a.ndim or not float(a).is_integer():  # False on NaN and +-inf too
         raise ValueError(f"{what} must be a whole number, got {x}")
-    return int(x)
+    return int(a)
 
 
 def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, float]:
@@ -38,7 +47,7 @@ def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, floa
     the accepted pair in ``seen``.
     """
     u, v = _whole_number(edge[0], "vertex id"), _whole_number(edge[1], "vertex id")
-    w = float(edge[2])
+    w = float(_numeric(edge[2], "edge weight"))
     if u == v:
         raise ValueError(f"self-loop on vertex {u}")
     if not (1 <= u <= n and 1 <= v <= n):
@@ -55,15 +64,15 @@ def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, floa
 def freeze_array(obj, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """Set a frozen dataclass field to a read-only dtype copy of the given shape.
 
-    An int field takes whole numbers only (1.0 passes, 1.7 does not), since
-    the conversion would truncate them.
+    The field takes numbers only (``_numeric``).  An int field takes whole
+    numbers only (1.0 passes, 1.7 does not), since the conversion would
+    truncate them.
     """
-    value = getattr(obj, name)
+    value = _numeric(getattr(obj, name), name)
     if dtype is int:
-        f = np.asarray(value, dtype=float)
-        whole = np.isfinite(f) & (f == np.trunc(f))
+        whole = np.isfinite(value) & (value == np.trunc(value))
         if not whole.all():
-            raise ValueError(f"{name} must hold whole numbers, got {float(f[~whole][0])}")
+            raise ValueError(f"{name} must hold whole numbers, got {float(value[~whole][0])}")
     a = np.array(value, dtype=dtype)
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
@@ -115,6 +124,7 @@ class IsingProblem:
     def __post_init__(self):
         J = freeze_array(self, "J", (len(self.J),) * 2)
         h = freeze_array(self, "h", J.shape[:1])
+        object.__setattr__(self, "offset", float(freeze_array(self, "offset", ())))
         if not (np.isfinite(J).all() and np.isfinite(h).all() and np.isfinite(self.offset)):
             raise ValueError("J, h, offset must be finite")
         if np.any(np.diag(J) != 0.0):
@@ -140,6 +150,7 @@ class Qubo:
 
     def __post_init__(self):
         Q = freeze_array(self, "Q", (len(self.Q),) * 2)
+        object.__setattr__(self, "offset", float(freeze_array(self, "offset", ())))
         if not (np.isfinite(Q).all() and np.isfinite(self.offset)):
             raise ValueError("Q and offset must be finite")
         if np.any(np.tril(Q, -1) != 0.0):

@@ -5,6 +5,7 @@ a fixed suite of 20 random connected 8-vertex unweighted graphs; per-graph
 results are printed for inspection.  Expect a few minutes of runtime.
 """
 
+import dataclasses
 import json
 import time
 
@@ -164,8 +165,6 @@ SWEEP_SCALES = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
 @pytest.fixture(scope="module")
 def eight_node_results():
-    from oscim.machine import set_global_scale
-
     rng = np.random.default_rng(777)
     graphs = [random_connected_graph(8, 0.35, rng) for _ in range(20)]
     per_graph = []
@@ -177,14 +176,14 @@ def eight_node_results():
         )
         # the 30-run sweep only shortlists scales; the best coupling is then
         # confirmed with the full 100-run batch to be robust to sweep noise
-        shortlist = {best_operating_point(rows).scale}
-        shortlist.add(max(rows, key=lambda r: (r.success_rate, -r.unresolved_rate)).scale)
-        clean = [r for r in rows if r.unresolved_rate <= 0.05]
+        shortlist = {best_operating_point(rows)[0]}
+        shortlist.add(max(rows, key=lambda r: (r[1].success_rate, -r[1].unresolved_rate))[0])
+        clean = [r for r in rows if r[1].unresolved_rate <= 0.05]
         if clean:
-            shortlist.add(max(clean, key=lambda r: r.success_rate).scale)
+            shortlist.add(max(clean, key=lambda r: r[1].success_rate)[0])
         finals = {
             scale: run_many(
-                g, set_global_scale(m, scale), sched=SUITE_SCHED,
+                g, dataclasses.replace(m, global_scale=float(scale)), sched=SUITE_SCHED,
                 runs=100, seed=5000 + gi,
             )
             for scale in sorted(shortlist)

@@ -223,6 +223,27 @@ class TestSolve:
         # default sampling: 16 per period over 10 periods, initial sample included
         assert len(lines) - 1 == pytest.approx(10 * 16, abs=1.5)
 
+    def test_histogram_is_built_once(self, tmp_path, monkeypatch):
+        # K6 at this coupling has 10 maximizers, each looked up in the histogram
+        from oscim.harness import RunStats
+
+        built = []
+        real = RunStats.histogram
+
+        def counting(self):
+            built.append(1)
+            return real.fget(self)
+
+        monkeypatch.setattr(RunStats, "histogram", property(counting))
+        graph = tmp_path / "k6.graph"
+        graph.write_text("n 6\n" + "".join(
+            f"{u} {v} 1\n" for u in range(1, 7) for v in range(u + 1, 7)))
+        assert main(["solve", "--graph", str(graph), "--runs", "3", "--coupling", "0.1",
+                     "--out", str(tmp_path / "doc.json")]) == 0
+        assert built == [1]
+        doc = json.loads((tmp_path / "doc.json").read_text())
+        assert len(doc["per_optimum_frequency"]) == 10
+
 
 class TestPinnedDocuments:
     """sha256 of the `solve --out` bytes of three fixed cases.
@@ -306,6 +327,36 @@ class TestSweepCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "7993790596e381851baf8188d818d7fd235fd2d98a02a4e9bb4ffdcf271b1189")
         assert capsys.readouterr().err == "best scale 0.1 (success_rate 1.000)\n"
+
+    def test_row_aggregates_are_pinned(self, tmp_path, monkeypatch):
+        # the input of the CSV pin; the CSV holds neither locked_fraction nor unresolved_rate
+        from oscim import cli, harness
+
+        swept, chosen = [], []
+
+        def recording_sweep(*args, **kwargs):
+            swept.extend(harness.sweep_coupling(*args, **kwargs))
+            return swept
+
+        def recording_best(rows):
+            chosen.append(harness.best_operating_point(rows))
+            return chosen[-1]
+
+        monkeypatch.setattr(cli, "sweep_coupling", recording_sweep)
+        monkeypatch.setattr(cli, "best_operating_point", recording_best)
+        graph = tmp_path / "w8.graph"
+        graph.write_text(WEIGHTED8_TEXT)
+        assert main(["sweep", "--graph", str(graph), "--runs", "8", "--seed", "3",
+                     "--noise", "0.05", "--scales", "0.02,0.1,0.2,0.3",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert [repr((scale, s.success_rate, s.mean_lock_period, s.locked_fraction,
+                      s.unresolved_rate)) for scale, s in swept] == [
+            "(0.02, 0.375, None, 0.0, 0.546875)",
+            "(0.1, 1.0, 7.777142857142857, 0.875, 0.03125)",
+            "(0.2, 1.0, 3.79, 1.0, 0.0)",
+            "(0.3, 1.0, 3.65, 1.0, 0.0)",
+        ]
+        assert [repr(scale) for scale, _ in chosen] == ["0.1"]
 
 
 class TestConvert:

@@ -30,3 +30,12 @@ def test_problem_mapping_output_is_pinned(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ef9a41c95decaf27c46ea94670858d6d7745e951a587d2ba07ac65ab15e8cb13")
+
+
+def test_coupling_sweep_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # demo 04 prints every sweep aggregate and the chosen scale; sha256 of its stdout
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS[3]), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5a759456725a85f008996e0826e964e39399b49098a582061137c13c19c32edc")

@@ -16,7 +16,7 @@ from oscim.formats import (
     write_sweep_csv,
     write_trace_csv,
 )
-from oscim.harness import SweepPoint
+from oscim.harness import RunResult, RunStats
 from oscim.problems import IsingProblem, Qubo, energy, qubo_value
 
 
@@ -95,6 +95,19 @@ class TestProblemDocuments:
             problem_from_document(doc)
         assert problem_from_document({**doc, "n": 2.0}).n == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"n": "2", "Q": [[1, 0], [0, 1]]},
+        {"n": True, "Q": [[1]]},
+        {"n": 1, "Q": [[1]], "offset": "0.5"},
+        {"n": 1, "Q": [["1"]]},
+        {"n": 1, "Q": [[True]]},
+        {"n": 1, "J": [[0]], "h": ["0.5"]},
+    ], ids=["str-n", "bool-n", "str-offset", "str-Q", "bool-Q", "str-h"])
+    def test_entries_must_be_numbers(self, doc):
+        # JSON strings and booleans are not numbers, though float() and int() take them
+        with pytest.raises(GraphFormatError, match="must be numeric"):
+            problem_from_document(doc)
+
 
 class TestCsvWriters:
     def test_trace_header_and_rows(self):
@@ -109,11 +122,10 @@ class TestCsvWriters:
 
     def test_sweep_rows(self):
         buf = io.StringIO()
+        # success 9/10 with every run locked at 4.5; then one optimal run that never locks
         rows = [
-            SweepPoint(scale=0.1, success_rate=0.9, mean_lock_period=4.5,
-                       locked_fraction=1.0, unresolved_rate=0.0),
-            SweepPoint(scale=0.2, success_rate=1.0, mean_lock_period=None,
-                       locked_fraction=0.0, unresolved_rate=1.0),
+            (0.1, RunStats(tuple(RunResult("01", 1.0, k > 0, 4.5, 0) for k in range(10)))),
+            (0.2, RunStats((RunResult("01", 1.0, True, None, 2),))),
         ]
         write_sweep_csv(buf, rows)
         lines = buf.getvalue().strip().split("\n")

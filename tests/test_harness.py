@@ -1,5 +1,6 @@
 """Run protocol: determinism, histogram accounting, schedules, sweeps."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from oscim import circuit_dynamics, harness, phase_dynamics
 from oscim.harness import (
+    RunResult,
     RunSchedule,
+    RunStats,
     best_operating_point,
     oracle_max_cut,
     run_many,
@@ -287,6 +290,42 @@ class TestInitialPhases:
         assert np.array_equal(drawn[0], thetas[0])
 
 
+class TestRunStats:
+    # three locked runs (one with an unresolved spin), one unlocked run with two
+    RUNS = (
+        RunResult("000", 2.0, True, 4.0, 0),
+        RunResult("011", 2.0, False, None, 2),
+        RunResult("000", 2.0, True, 2.5, 1),
+        RunResult("001", 1.5, False, 0.1, 0),
+    )
+
+    def test_only_the_runs_are_settable(self):
+        assert [f.name for f in dataclasses.fields(RunStats)] == ["run_results"]
+
+    def test_aggregates_derive_from_the_runs(self):
+        stats = RunStats(self.RUNS)
+        assert stats.runs == 4
+        assert list(stats.histogram.items()) == [("000", 2), ("011", 1), ("001", 1)]
+        assert stats.success_rate == 0.5
+        assert stats.mean_lock_period == (4.0 + 2.5 + 0.1) / 3
+        assert stats.locked_fraction == 0.75
+        assert stats.unresolved_rate == 3 / 12
+
+    def test_no_locked_run(self):
+        stats = RunStats((self.RUNS[1],))
+        assert stats.mean_lock_period is None
+        assert stats.locked_fraction == 0.0
+        assert (stats.success_rate, stats.unresolved_rate) == (0.0, 2 / 3)
+
+    def test_histogram_edits_leave_the_stats_unchanged(self):
+        stats = RunStats(self.RUNS)
+        histogram = stats.histogram
+        histogram["000"] = 99
+        histogram["111"] = 1
+        assert stats.histogram == {"000": 2, "011": 1, "001": 1}
+        assert stats == RunStats(self.RUNS)
+
+
 class TestSchedule:
     @pytest.mark.parametrize("field", ["free_run_periods", "settle_periods"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -301,7 +340,17 @@ class TestSweep:
         rows1 = sweep_coupling(TRIANGLE, m, scales=(0.1, 0.2), runs_per_point=10, seed=3)
         rows2 = sweep_coupling(TRIANGLE, m, scales=(0.1, 0.2), runs_per_point=10, seed=3)
         assert rows1 == rows2
-        assert [r.scale for r in rows1] == [0.1, 0.2]
+        assert [scale for scale, _ in rows1] == [0.1, 0.2]
+
+    def test_row_i_is_run_many_at_scale_i(self):
+        scales = (0.1, 0.25, 0.4)
+        m = build_machine(TRIANGLE, noise_sigma=0.05)
+        rows = sweep_coupling(TRIANGLE, m, scales=scales, runs_per_point=6, seed=19)
+        for i, (scale, stats) in enumerate(rows):
+            child = np.random.SeedSequence(19).spawn(len(scales))[i]
+            scaled = dataclasses.replace(m, global_scale=scales[i])
+            assert type(scale) is float and scale == scales[i]
+            assert stats == run_many(TRIANGLE, scaled, runs=6, seed=child)
 
     def test_empty_scales_rejected(self):
         m = build_machine(TRIANGLE)
@@ -317,16 +366,13 @@ class TestSweep:
         m = build_machine(g)
         rows = sweep_coupling(g, m, scales=(0.0,), runs_per_point=400, seed=17)
         baseline = len(oracle_max_cut(g)[1]) / 2 ** (g.n - 1)
-        assert rows[0].success_rate == pytest.approx(baseline, abs=0.1)
+        assert rows[0][1].success_rate == pytest.approx(baseline, abs=0.1)
 
     def test_best_operating_point_prefers_clean(self):
-        from oscim.harness import SweepPoint
-
-        rows = [
-            SweepPoint(0.1, 0.95, 5.0, 1.0, 0.0),
-            SweepPoint(0.2, 0.99, 4.0, 0.2, 0.5),
-        ]
-        assert best_operating_point(rows).scale == 0.1
+        # success 0.95 with no unresolved spin against 0.99 with half unresolved
+        clean = RunStats(tuple(RunResult("01", 1.0, k > 0, 5.0, 0) for k in range(20)))
+        ambiguous = RunStats(tuple(RunResult("01", 1.0, k > 0, None, 1) for k in range(100)))
+        assert best_operating_point([(0.1, clean), (0.2, ambiguous)]) == (0.1, clean)
 
 
 class TestOptimalBitstrings:

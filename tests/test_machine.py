@@ -66,6 +66,9 @@ class TestQuantizer:
         for bits in (2.5, float("nan")):
             with pytest.raises(ValueError, match=f"bits must be a whole number, got {bits}"):
                 Quantizer(bits=bits)
+        for bits in (True, "10"):
+            with pytest.raises(ValueError, match="bits must be numeric"):
+                Quantizer(bits=bits)
 
 
 class TestBuildCoupling:
@@ -212,6 +215,13 @@ class TestCouplingMatrixInvariants:
         with pytest.raises(ValueError, match=message):
             CouplingMatrix(codes=codes, signs=signs)
         assert CouplingMatrix(codes=np.zeros((3, 3)), signs=np.zeros((3, 3))).n == 3
+
+    @pytest.mark.parametrize("field, bad", [("codes", "3"), ("signs", "1"), ("signs", True)])
+    def test_rejects_entries_that_are_not_numbers(self, field, bad):
+        planes = {"codes": [[0, 3], [3, 0]], "signs": [[0, 1], [1, 0]]}
+        planes[field] = [[type(bad)(0), bad], [bad, type(bad)(0)]]
+        with pytest.raises(ValueError, match=f"{field} must be numeric"):
+            CouplingMatrix(**planes)
 
     def test_accepts_whole_floats(self):
         c = CouplingMatrix(codes=[[0.0, 3.0], [3.0, 0.0]], signs=[[0, -1.0], [-1.0, 0]])

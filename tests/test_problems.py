@@ -71,6 +71,15 @@ class TestGraph:
         with pytest.raises(ValueError, match="vertex count must be a whole number, got 2.5"):
             Graph(n=2.5, edges=())
 
+    @pytest.mark.parametrize("n, edge, what", [
+        ("3", (1, 2, 1.0), "vertex count"), (True, (1, 2, 1.0), "vertex count"),
+        (3, ("1", 2, 1.0), "vertex id"), (3, (1, True, 1.0), "vertex id"),
+        (3, (1, 2, "1.0"), "edge weight"), (3, (1, 2, None), "edge weight"),
+    ], ids=["str-n", "bool-n", "str-id", "bool-id", "str-weight", "none-weight"])
+    def test_rejects_input_that_is_not_a_number(self, n, edge, what):
+        with pytest.raises(ValueError, match=f"{what} must be numeric"):
+            Graph(n=n, edges=(edge,))
+
     def test_accepts_whole_floats(self):
         g = Graph(n=3.0, edges=((1.0, 3.0, 2.0),))
         assert g == Graph(n=3, edges=((1, 3, 2.0),))
@@ -495,6 +504,31 @@ class TestQuboConversions:
         assert Qubo(Q=np.zeros((3, 3))).n == 3
         with pytest.raises(ValueError, match=r"Q must have shape \(2, 2\), got \(2, 3\)"):
             Qubo(Q=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("make", [
+        lambda offset: IsingProblem(J=[[0.0]], h=[0.0], offset=offset),
+        lambda offset: Qubo(Q=[[1.0]], offset=offset),
+    ], ids=["ising", "qubo"])
+    def test_offset_is_a_float(self, make):
+        for given in (1, np.int64(1), np.float32(1.0)):
+            offset = make(given).offset
+            assert type(offset) is float and offset == 1.0
+        for bad in ("0.5", True, None):
+            with pytest.raises(ValueError, match="offset must be numeric"):
+                make(bad)
+        with pytest.raises(ValueError, match=r"offset must have shape \(\)"):
+            make([0.5])
+
+    @pytest.mark.parametrize("make", [
+        lambda v: IsingProblem(J=[[v, v], [v, v]], h=[0.0, 0.0]),
+        lambda v: IsingProblem(J=[[0.0, 1.0], [1.0, 0.0]], h=[v, v]),
+        lambda v: Qubo(Q=[[v, v], [v, v]]),
+    ], ids=["J", "h", "Q"])
+    @pytest.mark.parametrize("v", ["1", True], ids=["str", "bool"])
+    def test_entries_take_numbers_only(self, make, v):
+        # the rule reads the array's dtype, so every entry here has the bad type
+        with pytest.raises(ValueError, match="must be numeric"):
+            make(v)
 
     @pytest.mark.parametrize("x", [[2, 0], [0.5, 1], [-1, 0], [np.nan, 0]])
     def test_value_takes_binary_assignments_only(self, x):
