@@ -15,45 +15,54 @@ from typing import TextIO
 import numpy as np
 
 from .errors import GraphFormatError
-from .problems import Graph, IsingProblem, Qubo, _whole_number, check_edge
+from .problems import Graph, IsingProblem, Qubo, _whole_number
 
 
 def parse_graph_file(text: str) -> Graph:
-    """Parse the edge-list format; reports failures with their line number."""
-    n = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise GraphFormatError(
-                    f"expected header 'n <count>', got {line!r}", lineno
-                )
+    """Parse the edge-list format; reports failures with their line number.
+
+    ``Graph`` checks each edge as it is read, so an edge's line number is
+    still the current one when the check fails.
+    """
+    lineno = None
+
+    def payload():
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield line
+
+    def edges(lines):
+        for line in lines:
+            parts = line.split()
+            if len(parts) != 3:
+                raise GraphFormatError(f"expected 'u v w', got {line!r}", lineno)
             try:
-                n = int(parts[1])
+                edge = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
-                raise GraphFormatError(f"vertex count {parts[1]!r} is not an integer", lineno)
-            if n < 1:
-                raise GraphFormatError(f"vertex count must be >= 1, got {n}", lineno)
-            continue
-        if len(parts) != 3:
-            raise GraphFormatError(f"expected 'u v w', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"malformed edge line {line!r}", lineno)
-        try:
-            edges.append(check_edge((u, v, w), n, seen))
-        except ValueError as exc:
-            raise GraphFormatError(str(exc), lineno)
-    if n is None:
+                raise GraphFormatError(f"malformed edge line {line!r}", lineno)
+            yield edge
+
+    lines = payload()
+    header = next(lines, None)
+    if header is None:
         raise GraphFormatError("missing 'n <count>' header")
-    return Graph(n=n, edges=tuple(edges))
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "n":
+        raise GraphFormatError(f"expected header 'n <count>', got {header!r}", lineno)
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"vertex count {parts[1]!r} is not an integer", lineno)
+    if n < 1:
+        raise GraphFormatError(f"vertex count must be >= 1, got {n}", lineno)
+    try:
+        return Graph(n=n, edges=edges(lines))
+    except GraphFormatError:
+        raise
+    except ValueError as exc:
+        raise GraphFormatError(str(exc), lineno)
 
 
 def ising_to_document(p: IsingProblem) -> dict:

@@ -55,7 +55,7 @@ class RunSchedule:
             raise ValueError("schedule durations must be nonnegative (settle positive)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     """One run: normalized bitstring, its cut, and lock diagnostics.
 
@@ -86,6 +86,10 @@ class RunStats:
     """
 
     run_results: tuple[RunResult, ...]
+
+    def __post_init__(self):
+        if not self.run_results:
+            raise ValueError("RunStats needs at least one run")
 
     @property
     def runs(self) -> int:

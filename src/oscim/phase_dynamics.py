@@ -66,8 +66,15 @@ def wrap_phase(theta):
 
 
 def binary_distance(theta):
-    """Distance in radians to the nearest multiple of pi."""
-    return np.abs(np.mod(theta + np.pi / 2, np.pi) - np.pi / 2)
+    """Distance in radians to the nearest multiple of pi.
+
+    Computed in one new buffer of theta's shape, so a trajectory of samples
+    costs one float copy; 0-d input gives a numpy scalar.
+    """
+    d = np.add(theta, np.pi / 2, out=np.empty(np.shape(theta)))
+    np.mod(d, np.pi, out=d)
+    np.subtract(d, np.pi / 2, out=d)
+    return np.abs(d, out=d)[()]
 
 
 def coupling_terms(m: MachineConfig) -> tuple[np.ndarray, float]:
@@ -155,7 +162,10 @@ def integrate_batch(
 
     theta0 has shape (B, n); K is (n, n) or (B, n, n); Ks and delta
     broadcast against (B, n).  Returns (times (S,), thetas (S, B, n)) with
-    the initial sample included and SAMPLES_PER_PERIOD samples per period.
+    the initial sample included and SAMPLES_PER_PERIOD samples per period,
+    or one per step when a step is longer than a sample interval.  The
+    samples fill one block allocated before the first step, so the run
+    holds S * B * n floats of trajectory and no per-sample copies.
     ``noise``, if given, has shape (steps, B, n): phase increments in
     radians, noise[k] added after RK4 step k.  A duration shorter than one
     step, or misshapen noise, raises ValueError before the first step.  A
@@ -181,17 +191,21 @@ def integrate_batch(
     dt = 1.0 / steps_per_period
     K = np.ascontiguousarray(K, dtype=float)
     check_finite(theta, _DIVERGED, 0.0)
-    times = [0.0]
-    samples = [theta]
+    # sample_at[0] may be set at coarse steps; the initial sample is always taken
+    times = np.zeros(1 + np.count_nonzero(sample_at[1:]))
+    thetas = np.empty(times.shape + theta.shape)
+    thetas[0] = theta
+    s = 1
     for k in range(n_steps):
         theta = _rk4(theta, K, Ks, delta, dt)
         if noise is not None:
             theta = theta + noise[k]
         if sample_at[k + 1]:
             check_finite(theta, _DIVERGED, (k + 1) * dt)
-            times.append((k + 1) * dt)
-            samples.append(theta)
-    return np.array(times), np.stack(samples)
+            times[s] = (k + 1) * dt
+            thetas[s] = theta
+            s += 1
+    return times, thetas
 
 
 def simulate(m: MachineConfig, theta0, duration_periods: float) -> tuple[np.ndarray, np.ndarray]:

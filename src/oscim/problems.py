@@ -24,10 +24,18 @@ _TILE_BITS = 16
 
 
 def _numeric(x, what: str) -> np.ndarray:
-    """x as an array of ints or floats; bool, str and object input raise ValueError."""
+    """x as an array of ints or floats; bool, str and object input raise ValueError.
+
+    numpy infers a number dtype for a list that mixes bools with numbers, so
+    list and tuple input is also searched for bool entries; array input is
+    judged by its dtype alone.
+    """
     a = np.asarray(x)
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be numeric, got {a.dtype.name} input")
+    if isinstance(x, (list, tuple)) and any(
+            isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat):
+        raise ValueError(f"{what} must be numeric, got bool entries")
     return a
 
 

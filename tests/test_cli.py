@@ -403,6 +403,12 @@ class TestConvert:
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
         assert captured.err == err
 
+    def test_bool_mixed_into_a_matrix_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "qubo", "n": 2, "Q": [[1, true], [0, 1]]}')
+        assert main(["convert", "--in", str(bad)]) == 1
+        assert "Q must be numeric, got bool entries" in capsys.readouterr().err
+
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "Q": [[1.0]]}')

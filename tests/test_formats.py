@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oscim import formats, problems
 from oscim.errors import GraphFormatError
 from oscim.formats import (
     document_bytes,
@@ -55,6 +56,32 @@ class TestParseGraphFile:
     def test_missing_header(self):
         with pytest.raises(GraphFormatError, match="header"):
             parse_graph_file("1 2 1.0\n")
+
+    def test_each_edge_is_checked_once(self, monkeypatch):
+        calls = []
+        check_edge = problems.check_edge
+
+        def counting_check_edge(*args):
+            calls.append(args[0])
+            return check_edge(*args)
+
+        # the parser may reach the check through either module's name for it
+        for module in (problems, formats):
+            monkeypatch.setattr(module, "check_edge", counting_check_edge, raising=False)
+        g = parse_graph_file("n 4\n1 2 1.0\n# c\n2 3 0.5\n\n4 3 2.0\n1 4 0.25\n")
+        assert g.edges == ((1, 2, 1.0), (2, 3, 0.5), (3, 4, 2.0), (1, 4, 0.25))
+        assert len(calls) == len(g.edges)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n 3\n1 2 1\n\n# c\n2 3 1\n3 2 1\n", "line 6: duplicate edge"),
+        ("n 3\n1 2 1\n2 2 1\n1 2 x\n", "line 3: self-loop"),
+        ("n 3\n1 2 1\n1 2 x\n2 2 1\n", "line 3: malformed edge line"),
+        ("# c\nn x\n", "line 2: vertex count"),
+    ], ids=["duplicate", "check-before-a-later-bad-line", "parse-before-a-later-bad-edge",
+            "header"])
+    def test_every_error_names_its_line(self, text, message):
+        with pytest.raises(GraphFormatError, match=message):
+            parse_graph_file(text)
 
 
 class TestProblemDocuments:

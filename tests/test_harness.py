@@ -325,6 +325,14 @@ class TestRunStats:
         assert stats.histogram == {"000": 2, "011": 1, "001": 1}
         assert stats == RunStats(self.RUNS)
 
+    def test_needs_a_run(self):
+        # every aggregate divides by the run count or reads the first run
+        with pytest.raises(ValueError, match="at least one run"):
+            RunStats(())
+
+    def test_run_records_keep_no_instance_dict(self):
+        assert not hasattr(self.RUNS[0], "__dict__")
+
 
 class TestSchedule:
     @pytest.mark.parametrize("field", ["free_run_periods", "settle_periods"])

@@ -223,6 +223,13 @@ class TestCouplingMatrixInvariants:
         with pytest.raises(ValueError, match=f"{field} must be numeric"):
             CouplingMatrix(**planes)
 
+    @pytest.mark.parametrize("field", ["codes", "signs"])
+    def test_rejects_bools_mixed_with_numbers(self, field):
+        planes = {"codes": [[0, 3], [3, 0]], "signs": [[0, 1], [1, 0]]}
+        planes[field] = [[0, True], [1, 0]]
+        with pytest.raises(ValueError, match=f"{field} must be numeric, got bool entries"):
+            CouplingMatrix(**planes)
+
     def test_accepts_whole_floats(self):
         c = CouplingMatrix(codes=[[0.0, 3.0], [3.0, 0.0]], signs=[[0, -1.0], [-1.0, 0]])
         assert c.codes.dtype == c.signs.dtype == int

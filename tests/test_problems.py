@@ -530,6 +530,17 @@ class TestQuboConversions:
         with pytest.raises(ValueError, match="must be numeric"):
             make(v)
 
+    @pytest.mark.parametrize("make", [
+        lambda: IsingProblem(J=[[0.0, True], [True, 0.0]], h=[0.0, 0.0]),
+        lambda: IsingProblem(J=[[0, 1], [1, 0]], h=[np.True_, 0]),
+        lambda: IsingProblem(J=[np.zeros(2), np.zeros(2)], h=(0.5, False)),
+        lambda: Qubo(Q=[[1, True], [0, 1]]),
+    ], ids=["ising-J", "ising-h-numpy-bool", "ising-h-tuple", "qubo-Q"])
+    def test_bools_mixed_with_numbers_are_rejected(self, make):
+        # numpy infers a number dtype for such a list, reading each bool as 0 or 1
+        with pytest.raises(ValueError, match="must be numeric, got bool entries"):
+            make()
+
     @pytest.mark.parametrize("x", [[2, 0], [0.5, 1], [-1, 0], [np.nan, 0]])
     def test_value_takes_binary_assignments_only(self, x):
         q = Qubo(Q=[[1.0, 1.0], [0.0, 1.0]])
