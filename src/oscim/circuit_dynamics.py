@@ -79,10 +79,9 @@ _RESIDUAL_TOL = 1e-11
 
 # calibrated_params: largest relative error of the measured frequency
 _CAL_TOLERANCE = 0.005
-# calibration's seeded free run: its length, and the period after which it
-# is on the limit cycle the state table is cut from
-_CAL_PERIODS = 50.0
-_TABLE_START_PERIODS = 40
+# length of the seeded free run that calibration measures and whose end state,
+# on the limit cycle, starts the state table
+_SETTLE_PERIODS = 40.0
 
 
 def _solve_output(c, guess):
@@ -308,7 +307,7 @@ def steady_amplitude(trace: CircuitTrace) -> float:
 
 def _free_run_single(p: OscParams, periods: float, f_ref: float):
     """Seeded power-on run of one uncoupled oscillator, SAMPLES_PER_PERIOD steps
-    per period: (trace, states), states holding the state after every step.
+    per period: (trace, end state).
 
     With no coupling, SHIL or sync, the summer state stays exactly 0, so its
     SUMMER_RATIO/RC mode, which sets the protocol rungs, is never excited.  The
@@ -316,11 +315,11 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float):
     at this step, far inside RK4's limit.
     """
     q0 = np.random.default_rng(12345).normal(0.0, 0.4 * SAT_LEVEL, (1, 3))
-    times, outputs, _, states = _integrate_network(
+    times, outputs, state = _integrate_network(
         q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
-        periods / f_ref, f_ref, SAMPLES_PER_PERIOD, record_states=True,
+        periods / f_ref, f_ref, SAMPLES_PER_PERIOD,
     )
-    return CircuitTrace(times, outputs, np.zeros(times.shape, dtype=bool)), states
+    return CircuitTrace(times, outputs, np.zeros(times.shape, dtype=bool)), state
 
 
 def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
@@ -331,25 +330,29 @@ def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
 
 @functools.cache
 def _seeded_settle(p: OscParams, f_ref: float):
-    """(measured frequency, state on the limit cycle) from one seeded free run.
+    """(measured frequency, limit-cycle table) from one seeded free run.
 
-    Calibration measures the frequency over _CAL_PERIODS periods; the state
-    after the first _TABLE_START_PERIODS of that same run is where the
-    limit-cycle table starts, so a calibrated process settles once.  The run
-    steps SAMPLES_PER_PERIOD times per period; the table it seeds records its
-    period at DEFAULT_STEPS_PER_PERIOD.
+    The run lasts _SETTLE_PERIODS periods; calibration measures its
+    frequency, and its end state starts the table: the
+    (DEFAULT_STEPS_PER_PERIOD, 3) capacitor voltages over one more period,
+    recorded at that rung.  A process settles each oscillator once.
     """
-    trace, states = _free_run_single(p, _CAL_PERIODS, f_ref)
-    i = _TABLE_START_PERIODS * SAMPLES_PER_PERIOD - 1
-    return measure_free_run_frequency(trace), states[i].copy()
+    trace, settled = _free_run_single(p, _SETTLE_PERIODS, f_ref)
+    _, _, _, states = _integrate_network(
+        settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
+        1.0 / f_ref, f_ref, record_states=True,
+    )
+    table = states[:, 0, :3].copy()
+    table.setflags(write=False)  # one cached array serves every caller
+    return measure_free_run_frequency(trace), table
 
 
-@functools.cache
 def calibrated_params(f0: float) -> OscParams:
-    """The oscillator calibrated to f0, computed once per f0: the analytic R
-    (small-signal frequency 1/(2*pi*RC*sqrt(6)) = f0), checked by one measured
-    free run.  The circuit scales in time with RC, so that run's frequency is
-    the same fraction of f0 (0.99894) at every f0; no refinement is needed."""
+    """The oscillator calibrated to f0: the analytic R (small-signal frequency
+    1/(2*pi*RC*sqrt(6)) = f0), checked by the measured free run of
+    _seeded_settle, which runs once per f0.  The circuit scales in time with
+    RC, so that run's frequency is the same fraction of f0 (0.99892) at every
+    f0; no refinement is needed."""
     if f0 <= 0:
         raise ValueError("target frequency must be positive")
     p = OscParams(R=1.0 / (TWO_PI * f0 * np.sqrt(6.0)) / CAPACITANCE)
@@ -359,27 +362,13 @@ def calibrated_params(f0: float) -> OscParams:
     return p
 
 
-@functools.cache
-def _limit_cycle_states(p: OscParams, f0: float) -> np.ndarray:
-    """(DEFAULT_STEPS_PER_PERIOD, 3) capacitor voltages over one steady period."""
-    # start from the settled state of calibration's run, record one period
-    _, settled = _seeded_settle(p, f0)
-    _, _, _, states = _integrate_network(
-        settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
-        1.0 / f0, f0, record_states=True,
-    )
-    table = states[:, 0, :3].copy()
-    table.setflags(write=False)  # one cached array serves every caller
-    return table
-
-
 def phases_to_network_state(theta, p: OscParams, f0: float):
     """Map oscillator phases onto points of the free-running limit cycle.
 
     Preserves relative phases, which is what seeds the same basin as the
     phase backend for a given random draw.
     """
-    table = _limit_cycle_states(p, f0)
+    table = _seeded_settle(p, f0)[1]
     steps = table.shape[0]
     th = np.asarray(theta, dtype=float)
     idx = np.mod(np.rint(th / TWO_PI * steps).astype(int), steps)

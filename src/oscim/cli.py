@@ -127,7 +127,7 @@ def cmd_solve(args) -> int:
         "per_optimum_frequency": per_opt,
         "config": _config_echo(args, g, m),
     }
-    _emit(doc, args.out)
+    _write_out(document_bytes(doc), args.out)
     if args.trace is not None:
         _write_trace(args, m, sched)
     return 0
@@ -192,13 +192,9 @@ def cmd_convert(args) -> int:
     else:
         converted = ising_to_qubo(problem)
         out_doc = qubo_to_document(converted)
-    _emit(out_doc, args.out)
+    _write_out(document_bytes(out_doc), args.out)
     sys.stderr.write(f"energy offset {_fmt_num(converted.offset)}\n")
     return 0
-
-
-def _emit(doc: dict, out_path: str | None) -> None:
-    _write_out(document_bytes(doc), out_path)
 
 
 def _write_out(text: str, out_path: str | None) -> None:

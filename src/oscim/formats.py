@@ -21,8 +21,9 @@ from .problems import Graph, IsingProblem, Qubo, _whole_number
 def parse_graph_file(text: str) -> Graph:
     """Parse the edge-list format; reports failures with their line number.
 
-    ``Graph`` checks each edge as it is read, so an edge's line number is
-    still the current one when the check fails.
+    ``Graph`` checks the vertex count first and then each edge as it is read,
+    so the header's or the edge's line number is still the current one when a
+    check fails.
     """
     lineno = None
 
@@ -55,8 +56,6 @@ def parse_graph_file(text: str) -> Graph:
         n = int(parts[1])
     except ValueError:
         raise GraphFormatError(f"vertex count {parts[1]!r} is not an integer", lineno)
-    if n < 1:
-        raise GraphFormatError(f"vertex count must be >= 1, got {n}", lineno)
     try:
         return Graph(n=n, edges=edges(lines))
     except GraphFormatError:

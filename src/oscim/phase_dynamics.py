@@ -186,8 +186,9 @@ def integrate_batch(
     # exact sample count: duration * SAMPLES_PER_PERIOD, spread uniformly over steps
     n_samples = max(1, int(round(duration_periods * SAMPLES_PER_PERIOD)))
     sample_at = np.zeros(n_steps + 1, dtype=bool)
+    # k = n_samples gives n_samples * n_steps / n_samples = n_steps exactly,
+    # so the last step is always a sample
     sample_at[np.round(np.arange(1, n_samples + 1) * n_steps / n_samples).astype(int)] = True
-    sample_at[n_steps] = True
     dt = 1.0 / steps_per_period
     K = np.ascontiguousarray(K, dtype=float)
     check_finite(theta, _DIVERGED, 0.0)

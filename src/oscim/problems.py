@@ -72,15 +72,16 @@ def check_edge(edge, n: int, seen: set[tuple[int, int]]) -> tuple[int, int, floa
 def freeze_array(obj, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """Set a frozen dataclass field to a read-only dtype copy of the given shape.
 
-    The field takes numbers only (``_numeric``).  An int field takes whole
-    numbers only (1.0 passes, 1.7 does not), since the conversion would
-    truncate them.
+    The field takes finite numbers only (``_numeric``; NaN and +-inf raise).
+    An int field takes whole numbers only (1.0 passes, 1.7 does not), since
+    the conversion would truncate them.
     """
     value = _numeric(getattr(obj, name), name)
+    ok, rule = np.isfinite(value), "be finite"
     if dtype is int:
-        whole = np.isfinite(value) & (value == np.trunc(value))
-        if not whole.all():
-            raise ValueError(f"{name} must hold whole numbers, got {float(value[~whole][0])}")
+        ok, rule = ok & (value == np.trunc(value)), "hold whole numbers"
+    if not ok.all():
+        raise ValueError(f"{name} must {rule}, got {float(value[~ok][0])}")
     a = np.array(value, dtype=dtype)
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
@@ -131,10 +132,8 @@ class IsingProblem:
 
     def __post_init__(self):
         J = freeze_array(self, "J", (len(self.J),) * 2)
-        h = freeze_array(self, "h", J.shape[:1])
+        freeze_array(self, "h", J.shape[:1])
         object.__setattr__(self, "offset", float(freeze_array(self, "offset", ())))
-        if not (np.isfinite(J).all() and np.isfinite(h).all() and np.isfinite(self.offset)):
-            raise ValueError("J, h, offset must be finite")
         if np.any(np.diag(J) != 0.0):
             raise ValueError("J must have zero diagonal")
         if not np.array_equal(J, J.T):
@@ -159,8 +158,6 @@ class Qubo:
     def __post_init__(self):
         Q = freeze_array(self, "Q", (len(self.Q),) * 2)
         object.__setattr__(self, "offset", float(freeze_array(self, "offset", ())))
-        if not (np.isfinite(Q).all() and np.isfinite(self.offset)):
-            raise ValueError("Q and offset must be finite")
         if np.any(np.tril(Q, -1) != 0.0):
             raise ValueError("Q must be upper-triangular (zeros below the diagonal)")
 

@@ -85,7 +85,7 @@ def test_circuit_step_count_matches_the_integrator(tracer, monkeypatch):
     assert isinstance(circuit_dynamics.DEFAULT_STEPS_PER_PERIOD, int)
     m = build_machine(Graph(n=2, edges=((1, 2, 1.0),)), global_scale=0.2)
     # calibration and the limit-cycle table integrate too: build them uncounted
-    circuit_dynamics._limit_cycle_states(circuit_dynamics.calibrated_params(m.f0), m.f0)
+    circuit_dynamics.calibrated_params(m.f0)
     calls = []
     real = circuit_dynamics._solve_output
 

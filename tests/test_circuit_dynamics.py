@@ -16,7 +16,6 @@ from oscim.circuit_dynamics import (
     OscParams,
     _free_run_single,
     _integrate_network,
-    _limit_cycle_states,
     _protocol_run,
     _seeded_settle,
     _solve_output,
@@ -385,13 +384,13 @@ class TestCalibration:
         f_ref, _ = _seeded_settle(params, F0)
         f_meas, _ = _seeded_settle(calibrated_params(f0), f0)
         assert f_meas / f0 == pytest.approx(f_ref / F0, rel=1e-12, abs=0)
-        assert f_ref / F0 == pytest.approx(0.9989363733047733, rel=1e-12, abs=0)
+        assert f_ref / F0 == pytest.approx(0.998918810510049, rel=1e-12, abs=0)
 
     def test_off_target_measurement_raises(self, monkeypatch):
         monkeypatch.setattr(circuit_dynamics, "_seeded_settle",
                             lambda p, f0: (0.99 * f0, None))
         with pytest.raises(RuntimeError, match="calibration off target"):
-            calibrated_params.__wrapped__(2500.0)
+            calibrated_params(2500.0)
 
     def test_only_r_is_settable(self):
         with pytest.raises(TypeError):
@@ -407,14 +406,14 @@ class TestSettleReuse:
         assert calibrated_params(1900.0).R == 3419.7228124284043
 
     def test_table_equals_independent_settle(self, params):
-        # the table starts from calibration's run after 40 periods; a separate
+        # the table starts from the end of calibration's 40-period run; a separate
         # 40-period settle from the same seeded start must give the same bits
-        settled = _free_run_single(params, 40.0, F0)[1][-1]
+        settled = _free_run_single(params, 40.0, F0)[1]
         _, _, _, states = _integrate_network(
             settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, params,
             1.0, 1.0 / F0, F0, record_states=True,
         )
-        assert np.array_equal(_limit_cycle_states(params, F0), states[:, 0, :3])
+        assert np.array_equal(_seeded_settle(params, F0)[1], states[:, 0, :3])
 
 
 class TestCalibrationGrid:
@@ -431,36 +430,38 @@ class TestCalibrationGrid:
         monkeypatch.setattr(circuit_dynamics, "_solve_output", counting)
         f0 = 3100.0
         p = calibrated_params(f0)
-        # one seeded run, the analytic seed accepted: 50 periods at 100 steps
-        assert len(calls) == 4 * 50 * circuit_dynamics.SAMPLES_PER_PERIOD + 1 == 20001
-        calls.clear()
-        table = _limit_cycle_states(p, f0)
-        # one period at the base rung
+        # one seeded run, the analytic seed accepted: 40 periods at 100 steps,
+        # then the table's one period at the base rung
         spp = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD
-        assert len(calls) == 4 * spp + 1 == 801
+        assert (len(calls) == 4 * 40 * circuit_dynamics.SAMPLES_PER_PERIOD + 1
+                + 4 * spp + 1 == 16802)
+        calls.clear()
+        table = _seeded_settle(p, f0)[1]
+        # the cached table costs no further solve
+        assert len(calls) == 0
         assert table.shape == (spp, 3)
 
     def test_free_run_matches_an_800_step_reference(self, params):
-        # calibration's seeded 50-period run at 100 steps per period against the
+        # calibration's seeded 40-period run at 100 steps per period against the
         # same start at 800, whose RK4 error is 8^4 = 4096 times smaller.
-        # Tolerances are 3x the measured 8.3e-5 V on outputs, 1.65e-5 V on the
-        # state at period 40 and 1.4e-7 relative on the measured frequency.
+        # The bounds are at least 3x the measured 6.6e-5 V on outputs, 1.65e-5 V
+        # on the end state and 1.4e-7 relative on the measured frequency.
         q0 = np.random.default_rng(12345).normal(0.0, 0.4 * params.sat_level, (1, 3))
 
         def free_run(spp):
-            times, outputs, _, states = _integrate_network(
+            times, outputs, state = _integrate_network(
                 q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
-                50.0 / F0, F0, spp, record_states=True,
+                40.0 / F0, F0, spp,
             )
             trace = CircuitTrace(times=times, outputs=outputs,
                                  sync_flags=np.zeros(len(times), bool))
-            return trace, states[40 * spp - 1]
+            return trace, state
 
         trace, state = free_run(circuit_dynamics.SAMPLES_PER_PERIOD)
-        f_meas, settled = _seeded_settle(params, F0)
+        f_meas = _seeded_settle(params, F0)[0]
         # the run above is calibration's own, bit for bit
         assert measure_free_run_frequency(trace) == f_meas
-        assert np.array_equal(state, settled)
+        assert np.array_equal(state, _free_run_single(params, 40.0, F0)[1])
         ref_trace, ref_state = free_run(800)
         assert np.array_equal(trace.times, ref_trace.times)
         assert np.abs(trace.outputs - ref_trace.outputs).max() < 2.5e-4

@@ -409,6 +409,13 @@ class TestConvert:
         assert main(["convert", "--in", str(bad)]) == 1
         assert "Q must be numeric, got bool entries" in capsys.readouterr().err
 
+    def test_non_finite_matrix_exits_1(self, tmp_path, capsys):
+        # Python's json reads the bare NaN token as float('nan')
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 1, "Q": [[NaN]]}')
+        assert main(["convert", "--in", str(bad)]) == 1
+        assert "Q must be finite, got nan" in capsys.readouterr().err
+
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "Q": [[1.0]]}')

@@ -77,8 +77,9 @@ class TestParseGraphFile:
         ("n 3\n1 2 1\n2 2 1\n1 2 x\n", "line 3: self-loop"),
         ("n 3\n1 2 1\n1 2 x\n2 2 1\n", "line 3: malformed edge line"),
         ("# c\nn x\n", "line 2: vertex count"),
+        ("# c\nn 0\n1 2 1\n", "line 2: vertex count must be >= 1, got 0"),
     ], ids=["duplicate", "check-before-a-later-bad-line", "parse-before-a-later-bad-edge",
-            "header"])
+            "header", "header-count"])
     def test_every_error_names_its_line(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
             parse_graph_file(text)

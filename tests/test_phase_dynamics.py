@@ -132,6 +132,23 @@ class TestStep:
             integrate_batch(np.array([[0.1, 0.2]]), K, Ks, np.zeros(2), 0.004,
                             steps_per_period=100)
 
+    @pytest.mark.parametrize("spp", [1, 3, 7, 25, 40, 200])
+    @pytest.mark.parametrize("duration", [0.3, 1.0, 2.5, 15.0])
+    def test_last_step_is_the_last_sample(self, spp, duration):
+        # the sample grid's last point lands on the last step, and a step is
+        # stored at most once however coarse or fine the rung
+        n_steps = round(duration * spp)
+        args = (np.array([[0.1, 0.2]]), *coupling_terms(machine_on())[:2], np.zeros(2),
+                duration)
+        if n_steps < 1:
+            with pytest.raises(ValueError, match="shorter than one RK4 step"):
+                integrate_batch(*args, steps_per_period=spp)
+            return
+        times, thetas = integrate_batch(*args, steps_per_period=spp)
+        assert times[-1] == n_steps * (1.0 / spp)
+        assert np.all(np.diff(times) > 0)
+        assert len(thetas) == len(times)
+
     def test_simulate_shorter_than_one_step_rejected(self):
         with pytest.raises(ValueError, match=r"duration_periods=0\.001 is shorter "
                                              r"than one RK4 step"):

@@ -541,6 +541,26 @@ class TestQuboConversions:
         with pytest.raises(ValueError, match="must be numeric, got bool entries"):
             make()
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: IsingProblem(J=[[0.0, v], [v, 0.0]], h=[0.0, 0.0]), "J"),
+        (lambda v: IsingProblem(J=[[0.0, 1.0], [1.0, 0.0]], h=[0.0, v]), "h"),
+        (lambda v: IsingProblem(J=[[0.0]], h=[0.0], offset=v), "offset"),
+        (lambda v: Qubo(Q=[[1.0, v], [0.0, 1.0]]), "Q"),
+        (lambda v: Qubo(Q=[[1.0]], offset=v), "offset"),
+    ], ids=["ising-J", "ising-h", "ising-offset", "qubo-Q", "qubo-offset"])
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_entries_must_be_finite(self, make, field, v):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {v}$"):
+            make(v)
+
+    def test_ising_j_has_zero_diagonal(self):
+        with pytest.raises(ValueError, match="J must have zero diagonal"):
+            IsingProblem(J=[[0.0, 1.0], [1.0, 0.5]], h=[0.0, 0.0])
+
+    def test_ising_j_is_symmetric(self):
+        with pytest.raises(ValueError, match="J must be symmetric"):
+            IsingProblem(J=[[0.0, 1.0], [0.5, 0.0]], h=[0.0, 0.0])
+
     @pytest.mark.parametrize("x", [[2, 0], [0.5, 1], [-1, 0], [np.nan, 0]])
     def test_value_takes_binary_assignments_only(self, x):
         q = Qubo(Q=[[1.0, 1.0], [0.0, 1.0]])
