@@ -10,6 +10,7 @@ import numpy as np
 
 from oscim import Graph, build_machine
 from oscim.circuit_dynamics import (
+    CAPACITANCE,
     calibrated_params,
     free_run_trace,
     measure_free_run_frequency,
@@ -22,7 +23,7 @@ from oscim.harness import RunSchedule
 F0 = 3800.0
 
 params = calibrated_params(F0)
-print(f"calibrated: R={params.R:.1f} ohm, C={params.C:.2e} F, "
+print(f"calibrated: R={params.R:.1f} ohm, C={CAPACITANCE:.2e} F, "
       f"analytic f={params.analytic_frequency:.1f} Hz")
 
 trace = free_run_trace(params, 40.0, F0)

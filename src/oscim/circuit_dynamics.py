@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ SUMMER_RATIO = 20.0
 # Per-oscillator free-run frequency jitter (relative), applied per run so
 # waveform phases decorrelate during the free interval.
 FREERUN_JITTER = 0.002
-# Circuit SHIL source amplitude in units of sat_level when the machine's
+# Circuit SHIL source amplitude in units of SAT_LEVEL when the machine's
 # shil amplitude is left unset; large enough to binarize relative phases
 # within the settle window, small enough not to quench the oscillation.
 DEFAULT_SHIL_UNITS = 0.25
@@ -129,8 +129,6 @@ class OscParams:
     calibration sets; the others are the module's fixed values."""
 
     R: float = 1709.0  # ohms
-    C: ClassVar[float] = CAPACITANCE
-    sat_level: ClassVar[float] = SAT_LEVEL
 
     def __post_init__(self):
         if self.R <= 0:
@@ -138,7 +136,7 @@ class OscParams:
 
     @property
     def rc(self) -> float:
-        return self.R * self.C
+        return self.R * CAPACITANCE
 
     @property
     def analytic_frequency(self) -> float:
@@ -179,8 +177,7 @@ def _step_grid(duration_s: float, f0: float, spp: int) -> tuple[int, float]:
 
 
 def _integrate_network(
-    q0: np.ndarray,
-    s0: np.ndarray,
+    state0: np.ndarray,
     W: np.ndarray,
     shil_volts: float,
     sync_on: bool,
@@ -196,14 +193,13 @@ def _integrate_network(
     spp is a multiple of SAMPLES_PER_PERIOD; outputs are stored every
     spp // SAMPLES_PER_PERIOD steps, so the sample times do not depend on it.
     Returns (times, u_samples, end_state[, step_states]), step_states holding
-    the state after every step.  States are (..., n, 4) = (q1, q2, q3, s);
-    the summer state always tracks the coupled sum plus SHIL at 2*f0, while
-    the gate decides whether the oscillator sees it, so closing the gate
-    causes no summer turn-on transient.  A non-finite output stops the run
-    at the sample it shows in.
+    the state after every step.  States, state0 among them, are
+    (..., n, 4) = (q1, q2, q3, s); the summer state always tracks the coupled
+    sum plus SHIL at 2*f0, while the gate decides whether the oscillator sees
+    it, so closing the gate causes no summer turn-on transient.  A non-finite
+    output stops the run at the sample it shows in.
     """
-    state = np.concatenate([np.asarray(q0, float), np.asarray(s0, float)[..., None]],
-                           axis=-1)
+    state = np.asarray(state0, dtype=float)
     n_steps, dt = _step_grid(duration_s, f0, spp)
     sample_stride = spp // SAMPLES_PER_PERIOD
     # per-column rates: 1/(RC) on the capacitors, the summer corner on s
@@ -314,10 +310,10 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float):
     stiffest mode left is the saturated ladder at about 5/RC, |lambda|*h = 0.78
     at this step, far inside RK4's limit.
     """
-    q0 = np.random.default_rng(12345).normal(0.0, 0.4 * SAT_LEVEL, (1, 3))
+    state0 = np.zeros((1, 4))
+    state0[:, :3] = np.random.default_rng(12345).normal(0.0, 0.4 * SAT_LEVEL, (1, 3))
     times, outputs, state = _integrate_network(
-        q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
-        periods / f_ref, f_ref, SAMPLES_PER_PERIOD,
+        state0, np.zeros((1, 1)), 0.0, False, p, 1.0, periods / f_ref, f_ref, SAMPLES_PER_PERIOD,
     )
     return CircuitTrace(times, outputs, np.zeros(times.shape, dtype=bool)), state
 
@@ -334,15 +330,15 @@ def _seeded_settle(p: OscParams, f_ref: float):
 
     The run lasts _SETTLE_PERIODS periods; calibration measures its
     frequency, and its end state starts the table: the
-    (DEFAULT_STEPS_PER_PERIOD, 3) capacitor voltages over one more period,
-    recorded at that rung.  A process settles each oscillator once.
+    (DEFAULT_STEPS_PER_PERIOD, 4) states over one more period, recorded at
+    that rung, whose summer column is exactly 0 (_free_run_single).  A
+    process settles each oscillator once.
     """
     trace, settled = _free_run_single(p, _SETTLE_PERIODS, f_ref)
     _, _, _, states = _integrate_network(
-        settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, p, 1.0,
-        1.0 / f_ref, f_ref, record_states=True,
+        settled, np.zeros((1, 1)), 0.0, False, p, 1.0, 1.0 / f_ref, f_ref, record_states=True,
     )
-    table = states[:, 0, :3].copy()
+    table = states[:, 0].copy()
     table.setflags(write=False)  # one cached array serves every caller
     return measure_free_run_frequency(trace), table
 
@@ -366,15 +362,13 @@ def phases_to_network_state(theta, p: OscParams, f0: float):
     """Map oscillator phases onto points of the free-running limit cycle.
 
     Preserves relative phases, which is what seeds the same basin as the
-    phase backend for a given random draw.
+    phase backend for a given random draw.  Returns the (..., n, 4) states
+    of theta's (..., n) phases, summers at 0.
     """
     table = _seeded_settle(p, f0)[1]
     steps = table.shape[0]
     th = np.asarray(theta, dtype=float)
-    idx = np.mod(np.rint(th / TWO_PI * steps).astype(int), steps)
-    q = table[idx]  # (..., 3)
-    s = np.zeros(th.shape)
-    return q, s
+    return table[np.mod(np.rint(th / TWO_PI * steps).astype(int), steps)]
 
 
 def _protocol_run(m: MachineConfig, sched, seeds):
@@ -397,18 +391,16 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     rngs = [np.random.default_rng(s) for s in seeds]
     theta0 = np.stack([random_initial_phases(m.n, r) for r in rngs])
     jitter = np.stack([r.uniform(-FREERUN_JITTER, FREERUN_JITTER, m.n) for r in rngs])
-    q0, s0 = phases_to_network_state(theta0, p, m.f0)
+    state0 = phases_to_network_state(theta0, p, m.f0)
     rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
     W = effective_weights(m)
     shil = resolve_shil_voltage(m)
     spp = steps_per_period_for(m, p)
     t_free, u_free, final = _integrate_network(
-        q0, s0, W, shil, False, p, rc_scale,
-        sched.free_run_periods / m.f0, m.f0, spp,
+        state0, W, shil, False, p, rc_scale, sched.free_run_periods / m.f0, m.f0, spp,
     )
     t_on, u_on, _ = _integrate_network(
-        final[..., :3], final[..., 3], W, shil, True, p, rc_scale,
-        sched.settle_periods / m.f0, m.f0, spp,
+        final, W, shil, True, p, rc_scale, sched.settle_periods / m.f0, m.f0, spp,
     )
     free_steps, dt = _step_grid(sched.free_run_periods / m.f0, m.f0, spp)
     return t_free, u_free, t_on, u_on, free_steps * dt

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import sys
@@ -39,6 +40,7 @@ from .harness import (
 from .machine import (
     DEFAULT_F0_HZ,
     DEFAULT_GLOBAL_SCALE,
+    DEFAULT_QUANTIZER_BITS,
     Quantizer,
     build_machine,
     resolve_shil_strength,
@@ -58,25 +60,17 @@ def _load_graph(path: str) -> Graph:
 
 
 def _machine_for(args, g: Graph):
-    quantizer = Quantizer(bits=args.bits)
     return build_machine(
-        g,
-        global_scale=args.coupling,
-        quantizer=quantizer,
-        shil_amplitude=args.shil,
-        f0=args.f0,
-        noise_sigma=args.noise,
+        g, quantizer=Quantizer(bits=args.bits), global_scale=args.coupling,
+        shil_amplitude=args.shil, f0=args.f0, noise_sigma=args.noise,
     )
 
 
 def _schedule_for(args) -> RunSchedule:
-    return RunSchedule(
-        free_run_periods=args.free_run_periods,
-        settle_periods=args.settle_periods,
-    )
+    return RunSchedule(args.free_run_periods, args.settle_periods)
 
 
-def _config_echo(args, g: Graph, m) -> dict:
+def _config_echo(args, g: Graph, m, sched: RunSchedule) -> dict:
     return {
         "backend": args.backend,
         "graph": {"path": args.graph, "n": g.n, "edges": len(g.edges),
@@ -91,10 +85,7 @@ def _config_echo(args, g: Graph, m) -> dict:
             "noise_sigma": m.noise_sigma,
             "detuning": list(m.detuning),
         },
-        "schedule": {
-            "free_run_periods": args.free_run_periods,
-            "settle_periods": args.settle_periods,
-        },
+        "schedule": dataclasses.asdict(sched),
         "runs": args.runs,
         "seed": args.seed,
         "parallel": not args.sequential,
@@ -125,7 +116,7 @@ def cmd_solve(args) -> int:
         "locked_fraction": stats.locked_fraction,
         "unresolved_rate": stats.unresolved_rate,
         "per_optimum_frequency": per_opt,
-        "config": _config_echo(args, g, m),
+        "config": _config_echo(args, g, m, sched),
     }
     _write_out(document_bytes(doc), args.out)
     if args.trace is not None:
@@ -227,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oscillator Ising machine emulator for max-cut",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sched = RunSchedule()
 
     def common(p):
         p.add_argument("--graph", required=True, help="graph file path")
@@ -236,12 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="global coupling scale")
         p.add_argument("--shil", type=float, default=None,
                        help="SHIL injection strength (default: auto)")
-        p.add_argument("--bits", type=int, default=10, help="quantizer resolution")
+        p.add_argument("--bits", type=int, default=DEFAULT_QUANTIZER_BITS,
+                       help="quantizer resolution")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--f0", type=float, default=DEFAULT_F0_HZ)
         p.add_argument("--noise", type=float, default=0.0)
-        p.add_argument("--free-run-periods", type=float, default=5.0)
-        p.add_argument("--settle-periods", type=float, default=15.0)
+        p.add_argument("--free-run-periods", type=float, default=sched.free_run_periods)
+        p.add_argument("--settle-periods", type=float, default=sched.settle_periods)
         p.add_argument("--sequential", action="store_true",
                        help="run one simulation at a time instead of batched")
         p.add_argument("--out", default=None, help="output file (default stdout)")

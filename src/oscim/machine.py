@@ -142,24 +142,9 @@ def build_coupling(g: Graph, quantizer: Quantizer | None = None) -> CouplingMatr
     return CouplingMatrix(codes=q.quantize(mags), signs=np.sign(a).astype(int), quantizer=q)
 
 
-def build_machine(
-    g: Graph,
-    global_scale: float = DEFAULT_GLOBAL_SCALE,
-    quantizer: Quantizer | None = None,
-    shil_amplitude: float | None = None,
-    f0: float = DEFAULT_F0_HZ,
-    detuning: tuple[float, ...] = (),
-    noise_sigma: float = 0.0,
-) -> MachineConfig:
-    """Machine sized for the given graph."""
-    return MachineConfig(
-        coupling=build_coupling(g, quantizer),
-        global_scale=global_scale,
-        shil_amplitude=shil_amplitude,
-        f0=f0,
-        detuning=detuning,
-        noise_sigma=noise_sigma,
-    )
+def build_machine(g: Graph, *, quantizer: Quantizer | None = None, **settings) -> MachineConfig:
+    """Machine sized for the given graph; settings are MachineConfig's other fields."""
+    return MachineConfig(coupling=build_coupling(g, quantizer), **settings)
 
 
 def effective_weights(m: MachineConfig) -> np.ndarray:

@@ -49,13 +49,13 @@ from .machine import MachineConfig, effective_weights, resolve_shil_strength
 
 TWO_PI = 2.0 * np.pi
 
-DEFAULT_STEPS_PER_PERIOD = 200
 SAMPLES_PER_PERIOD = 16.0
 
-# Step counts a protocol run may use.  Each divides DEFAULT_STEPS_PER_PERIOD,
-# so a coarse step's noise is a sum of whole fine-grid increments and a
-# seeded run keeps one Brownian path whatever its step.
+# Step counts a protocol run may use.  Each divides the last,
+# DEFAULT_STEPS_PER_PERIOD, so a coarse step's noise is a sum of whole
+# fine-grid increments and a seeded run keeps one Brownian path whatever its step.
 STEP_RUNGS = (25, 40, 50, 100, 200)
+DEFAULT_STEPS_PER_PERIOD = STEP_RUNGS[-1]
 
 _DIVERGED = "phase at t={t:.3f} periods"
 

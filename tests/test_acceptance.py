@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oscim.circuit_dynamics import (
+    SAT_LEVEL,
     _integrate_network,
     calibrated_params,
     free_run_trace,
@@ -259,9 +260,9 @@ def test_criterion_08_circuit_fidelity():
     # pi response measured in operation: a locked pair's sync drive vs output
     w = 0.25
     W = np.array([[0.0, w], [w, 0.0]])
-    q0, s0 = phases_to_network_state(np.array([0.8, 2.1]), p, 3800.0)
+    state0 = phases_to_network_state(np.array([0.8, 2.1]), p, 3800.0)
     times, outputs, _ = _integrate_network(
-        q0[None], s0[None], W, 0.25 * p.sat_level, True, p,
+        state0[None], W, 0.25 * SAT_LEVEL, True, p,
         np.ones((1, 2)), 30.0 / 3800.0, 3800.0,
     )
     i0 = int(len(times) * 0.7)

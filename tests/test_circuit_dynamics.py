@@ -7,7 +7,6 @@ import pytest
 
 from oscim import circuit_dynamics, readout
 from oscim.circuit_dynamics import (
-    CAPACITANCE,
     GAIN,
     GAIN_THRESHOLD,
     SAT_LEVEL,
@@ -58,9 +57,9 @@ class TestOscillationCondition:
         assert np.linalg.eigvals(loop_matrix(30.0)).real.max() > 0
 
     def test_small_perturbation_grows(self, params):
-        q0 = np.full((1, 3), 1e-3)
+        state0 = np.array([[1e-3, 1e-3, 1e-3, 0.0]])
         times, outputs, _ = _integrate_network(
-            q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
+            state0, np.zeros((1, 1)), 0.0, False, params, 1.0,
             25.0 / F0, F0,
         )
         early = np.abs(outputs[: len(times) // 10, 0]).max()
@@ -114,28 +113,26 @@ class TestDivergence:
         assert u[1] == solve(np.array([0.3]), np.array([0.5]))[0]
 
     def test_names_first_non_finite_output_sample(self):
-        q0 = np.zeros((2, 2, 3))
-        q0[1, 0, 0] = np.nan  # run 1, oscillator 0, at t=0
+        state0 = np.zeros((2, 2, 4))
+        state0[1, 0, 0] = np.nan  # run 1, oscillator 0, at t=0
         # the first output sample lands at 1/SAMPLES_PER_PERIOD of a period on
         # every rung: here 2 of the 200 steps per period
         with pytest.raises(SimulationDiverged,
                            match=r"t=2\.631579e-06 s \(run 1, oscillator 0\)"):
             _integrate_network(
-                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
-                OscParams(), 1.0, 0.1 / F0, F0,
+                state0, np.zeros((2, 2)), 0.0, False, OscParams(), 1.0, 0.1 / F0, F0,
             )
 
     def test_end_state_check_names_run_and_oscillator(self):
         # fewer steps than one sample stride store no sample, so only the
         # end-state check sees it
         stride = circuit_dynamics.DEFAULT_STEPS_PER_PERIOD // circuit_dynamics.SAMPLES_PER_PERIOD
-        q0 = np.zeros((2, 2, 3))
-        q0[1, 0, 0] = np.nan
+        state0 = np.zeros((2, 2, 4))
+        state0[1, 0, 0] = np.nan
         with pytest.raises(SimulationDiverged, match=r"non-finite circuit state at "
                                                      r"t=.* s \(run 1, oscillator 0\)"):
             _integrate_network(
-                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
-                OscParams(), 1.0,
+                state0, np.zeros((2, 2)), 0.0, False, OscParams(), 1.0,
                 (stride - 1) / (circuit_dynamics.DEFAULT_STEPS_PER_PERIOD * F0), F0,
             )
 
@@ -153,12 +150,11 @@ class TestDivergence:
             return real(c, guess)
 
         monkeypatch.setattr(circuit_dynamics, "_solve_output", counting)
-        q0 = np.zeros((2, 2, 3))
-        q0[0, 1, 2] = np.nan
+        state0 = np.zeros((2, 2, 4))
+        state0[0, 1, 2] = np.nan
         with pytest.raises(SimulationDiverged, match=r"\(run 0, oscillator 1\)"):
             _integrate_network(
-                q0, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, False,
-                OscParams(), 1.0, 50.0 / F0, F0,
+                state0, np.zeros((2, 2)), 0.0, False, OscParams(), 1.0, 50.0 / F0, F0,
             )
 
 
@@ -200,15 +196,14 @@ class TestFusedStage:
         # oscillator's RC moves the state by millivolts, not 1e-12 V
         p = OscParams()
         rng = np.random.default_rng(21)
-        q0 = rng.normal(0.0, 1.0, (2, 3, 3))
-        s0 = rng.normal(0.0, 0.3, (2, 3))
+        state0 = np.concatenate([rng.normal(0.0, 1.0, (2, 3, 3)),
+                                 rng.normal(0.0, 0.3, (2, 3))[..., None]], axis=-1)
         W = np.array([[0.0, 0.3, -0.2], [0.3, 0.0, 0.25], [-0.2, 0.25, 0.0]])
         rc_scale = np.array([[0.9, 1.0, 1.12], [1.05, 0.95, 1.2]])
-        shil = 0.25 * p.sat_level
+        shil = 0.25 * SAT_LEVEL
         dt = 1.0 / (F0 * circuit_dynamics.DEFAULT_STEPS_PER_PERIOD)
-        _, _, end = _integrate_network(q0, s0, W, shil, True, p, rc_scale, dt, F0)
-        ref = reference_rk4_step(np.concatenate([q0, s0[..., None]], axis=-1),
-                                 W, shil, p, rc_scale, F0)
+        _, _, end = _integrate_network(state0, W, shil, True, p, rc_scale, dt, F0)
+        ref = reference_rk4_step(state0, W, shil, p, rc_scale, F0)
         assert np.abs(end - ref).max() < 1e-12
 
 
@@ -289,9 +284,9 @@ class TestBelowStabilityFloor:
     @staticmethod
     def run_triangle_at_100_steps(params, sync_on):
         m = build_machine(TRIANGLE, global_scale=0.2, f0=F0)
-        q0, s0 = phases_to_network_state(np.array([[0.3, 2.0, 4.1]]), params, F0)
+        state0 = phases_to_network_state(np.array([[0.3, 2.0, 4.1]]), params, F0)
         _integrate_network(
-            q0, s0, effective_weights(m),
+            state0, effective_weights(m),
             circuit_dynamics.resolve_shil_voltage(m), sync_on, params,
             np.ones((1, 3)), 20.0 / F0, F0, spp=100,
         )
@@ -369,7 +364,6 @@ class TestCalibration:
         assert rc == pytest.approx(1.709e-5, rel=1e-3)
         p = calibrated_params(3800.0)
         assert p.rc == pytest.approx(rc, rel=0.05)
-        assert p.C == CAPACITANCE
 
     def test_half_frequency_doubles_rc(self):
         hi = calibrated_params(3800.0)
@@ -410,10 +404,9 @@ class TestSettleReuse:
         # 40-period settle from the same seeded start must give the same bits
         settled = _free_run_single(params, 40.0, F0)[1]
         _, _, _, states = _integrate_network(
-            settled[..., :3], np.zeros(1), np.zeros((1, 1)), 0.0, False, params,
-            1.0, 1.0 / F0, F0, record_states=True,
+            settled, np.zeros((1, 1)), 0.0, False, params, 1.0, 1.0 / F0, F0, record_states=True,
         )
-        assert np.array_equal(_seeded_settle(params, F0)[1], states[:, 0, :3])
+        assert np.array_equal(_seeded_settle(params, F0)[1], states[:, 0])
 
 
 class TestCalibrationGrid:
@@ -439,18 +432,19 @@ class TestCalibrationGrid:
         table = _seeded_settle(p, f0)[1]
         # the cached table costs no further solve
         assert len(calls) == 0
-        assert table.shape == (spp, 3)
+        assert table.shape == (spp, 4)
 
     def test_free_run_matches_an_800_step_reference(self, params):
         # calibration's seeded 40-period run at 100 steps per period against the
         # same start at 800, whose RK4 error is 8^4 = 4096 times smaller.
         # The bounds are at least 3x the measured 6.6e-5 V on outputs, 1.65e-5 V
         # on the end state and 1.4e-7 relative on the measured frequency.
-        q0 = np.random.default_rng(12345).normal(0.0, 0.4 * params.sat_level, (1, 3))
+        state0 = np.zeros((1, 4))
+        state0[:, :3] = np.random.default_rng(12345).normal(0.0, 0.4 * SAT_LEVEL, (1, 3))
 
         def free_run(spp):
             times, outputs, state = _integrate_network(
-                q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
+                state0, np.zeros((1, 1)), 0.0, False, params, 1.0,
                 40.0 / F0, F0, spp,
             )
             trace = CircuitTrace(times=times, outputs=outputs,
@@ -475,9 +469,10 @@ class TestAmplitude:
         vpps = []
         for seed in (1, 2):
             rng = np.random.default_rng(seed)
-            q0 = rng.normal(0, 0.2 * params.sat_level * (seed), (1, 3))
+            state0 = np.zeros((1, 4))
+            state0[:, :3] = rng.normal(0, 0.2 * SAT_LEVEL * (seed), (1, 3))
             times, outputs, _ = _integrate_network(
-                q0, np.zeros(1), np.zeros((1, 1)), 0.0, False, params, 1.0,
+                state0, np.zeros((1, 1)), 0.0, False, params, 1.0,
                 35.0 / F0, F0,
             )
             trace = CircuitTrace(times=times, outputs=outputs[:, :],
@@ -495,9 +490,9 @@ def locked_pair(params):
     w = 0.25
     W = np.array([[0.0, w], [w, 0.0]])
     theta0 = np.array([0.8, 2.1])
-    q0, s0 = phases_to_network_state(theta0, params, F0)
+    state0 = phases_to_network_state(theta0, params, F0)
     times, outputs, _ = _integrate_network(
-        q0[None], s0[None], W, 0.25 * params.sat_level, True, params,
+        state0[None], W, 0.25 * SAT_LEVEL, True, params,
         np.ones((1, 2)), 30.0 / F0, F0,
     )
     return times, outputs[:, 0, :], w
@@ -576,14 +571,14 @@ class TestGateIndependence:
     def test_gated_network_equals_isolated_runs(self, params):
         W = np.array([[0.0, 0.3], [0.3, 0.0]])
         rng = np.random.default_rng(8)
-        q0 = rng.normal(0, 0.3, (1, 2, 3))
-        s0 = np.zeros((1, 2))
+        state0 = np.zeros((1, 2, 4))
+        state0[..., :3] = rng.normal(0, 0.3, (1, 2, 3))
         _, joint, _ = _integrate_network(
-            q0, s0, W, 0.5, False, params, 1.0, 10.0 / F0, F0,
+            state0, W, 0.5, False, params, 1.0, 10.0 / F0, F0,
         )
         for k in range(2):
             _, alone, _ = _integrate_network(
-                q0[:, k:k + 1, :], s0[:, k:k + 1], np.zeros((1, 1)), 0.0,
+                state0[:, k:k + 1, :], np.zeros((1, 1)), 0.0,
                 False, params, 1.0, 10.0 / F0, F0,
             )
             assert np.allclose(joint[:, 0, k], alone[:, 0, 0], atol=1e-12)
