@@ -173,7 +173,11 @@ def steps_per_period_for(m: MachineConfig, p: OscParams) -> int:
 
 def _step_grid(duration_s: float, f0: float, spp: int) -> tuple[int, float]:
     """(RK4 steps, step in seconds) of an integration lasting duration_s."""
-    return int(round(duration_s * f0 * spp)), 1.0 / (f0 * spp)
+    steps = duration_s * f0 * spp
+    if not math.isfinite(steps):
+        raise ValueError(f"an interval of {duration_s:g} s at f0={f0:g} Hz has no finite "
+                         "step count")
+    return int(round(steps)), 1.0 / (f0 * spp)
 
 
 def _integrate_network(
@@ -348,10 +352,15 @@ def calibrated_params(f0: float) -> OscParams:
     1/(2*pi*RC*sqrt(6)) = f0), checked by the measured free run of
     _seeded_settle, which runs once per f0.  The circuit scales in time with
     RC, so that run's frequency is the same fraction of f0 (0.99892) at every
-    f0; no refinement is needed."""
+    f0; no refinement is needed.  An f0 whose R is not finite and positive is
+    refused."""
     if f0 <= 0:
         raise ValueError("target frequency must be positive")
-    p = OscParams(R=1.0 / (TWO_PI * f0 * np.sqrt(6.0)) / CAPACITANCE)
+    with np.errstate(over="ignore"):  # an f0 near 0 needs R = inf, refused below
+        R = 1.0 / (TWO_PI * f0 * np.sqrt(6.0)) / CAPACITANCE
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"f0={f0:g} Hz is out of range: it needs a ladder resistor of {R:g} ohm")
+    p = OscParams(R=R)
     f_meas, _ = _seeded_settle(p, f0)
     if abs(f_meas - f0) / f0 > _CAL_TOLERANCE:
         raise RuntimeError(f"calibration off target: measured {f_meas:.1f} Hz vs {f0} Hz")

@@ -46,7 +46,7 @@ from .machine import (
     resolve_shil_strength,
 )
 from .phase_dynamics import wrap_phase
-from .problems import Graph, Qubo, ising_to_qubo, qubo_to_ising
+from .problems import Graph, Qubo, _check_enumerable, ising_to_qubo, qubo_to_ising
 
 DEFAULT_SCALE_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
@@ -60,6 +60,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _machine_for(args, g: Graph):
+    _check_enumerable(g.n)  # run_many's oracle would refuse g only after this allocation
     return build_machine(
         g, quantizer=Quantizer(bits=args.bits), global_scale=args.coupling,
         shil_amplitude=args.shil, f0=args.f0, noise_sigma=args.noise,
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError) as exc:
+    except (GraphFormatError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except SimulationDiverged as exc:

@@ -94,8 +94,9 @@ def freeze_array(obj, name: str, shape: tuple[int, ...], dtype=float) -> np.ndar
 class Graph:
     """Undirected edge-weighted graph with 1-indexed vertices 1..n.
 
-    Edges are stored as (u, v, weight) with u < v; self-loops and duplicate
-    pairs are rejected.
+    Edges are stored as (u, v, weight) with u < v; self-loops, duplicate
+    pairs and weights whose |values| sum to more than the largest float are
+    rejected.
     """
 
     n: int
@@ -108,6 +109,8 @@ class Graph:
         seen: set[tuple[int, int]] = set()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(check_edge(e, n, seen) for e in self.edges))
+        if not np.isfinite(sum(abs(w) for _, _, w in self.edges)):
+            raise ValueError("the total |weight| of the edges must be finite")
 
     @property
     def total_weight(self) -> float:
@@ -344,8 +347,11 @@ def brute_force_max_cut(g: Graph) -> tuple[float, set[tuple[int, ...]]]:
     """
     _check_enumerable(g.n)
     A = g.adjacency()
-    margin = 8.0 * (g.n + len(g.edges)) * np.finfo(float).eps * float(np.abs(A).sum())
-    spins = _screened_spins(A, margin)
+    # weights near the float limit overflow the margin or the screen; a
+    # non-finite screen keeps every entry, and the edge-order sum decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = 8.0 * (g.n + len(g.edges)) * np.finfo(float).eps * float(np.abs(A).sum())
+        spins = _screened_spins(A, margin)
     cuts = cut_values(g, spins)
     return _optimum(spins, cuts, cuts.max(), (1, -1))
 
@@ -371,7 +377,8 @@ def brute_force_ground_states(p: IsingProblem) -> tuple[float, set[tuple[int, ..
     _check_enumerable(p.n)
     A = -np.block([[p.J, p.h[:, None]], [p.h[None, :], np.zeros((1, 1))]])
     eps = np.finfo(float).eps
-    margin = 8.0 * eps * ((p.n + 1) ** 2 * float(np.abs(A).sum()) + abs(p.offset))
-    spins = _screened_spins(A, margin)[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in brute_force_max_cut
+        margin = 8.0 * eps * ((p.n + 1) ** 2 * float(np.abs(A).sum()) + abs(p.offset))
+        spins = _screened_spins(A, margin)[:, :-1]
     e = energies(p, spins)
     return _optimum(spins, e, e.min(), (1,))

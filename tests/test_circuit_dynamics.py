@@ -1,5 +1,6 @@
 """Circuit backend: startup, calibration, amplitude, sync response, locking."""
 
+import re
 import warnings
 
 import numpy as np
@@ -364,6 +365,16 @@ class TestCalibration:
         assert rc == pytest.approx(1.709e-5, rel=1e-3)
         p = calibrated_params(3800.0)
         assert p.rc == pytest.approx(rc, rel=0.05)
+
+    @pytest.mark.parametrize("f0", [1e-310, 3e-308, 1e308])
+    def test_f0_without_a_finite_resistor_is_refused(self, f0):
+        with pytest.raises(ValueError, match=re.escape(f"f0={f0:g} Hz is out of range")):
+            calibrated_params(f0)
+
+    def test_interval_without_a_finite_step_count_is_refused(self, params):
+        with pytest.raises(ValueError, match=r"interval of inf s at f0=1e-300 Hz"):
+            _integrate_network(np.zeros((1, 4)), np.zeros((1, 1)), 0.0, False, params, 1.0,
+                               1e9 / 1e-300, 1e-300)
 
     def test_half_frequency_doubles_rc(self):
         hi = calibrated_params(3800.0)

@@ -193,6 +193,64 @@ class TestSolve:
             assert main(argv + ["--graph", str(path)]) == 1
             assert "too large for exhaustive enumeration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_oversized_graph_exits_1_before_the_machine_is_built(self, tmp_path, monkeypatch,
+                                                                capsys, command):
+        from oscim import machine
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("the machine was built before the graph size check")
+
+        monkeypatch.setattr(machine, "build_coupling", no_machine)
+        path = tmp_path / "n3000.graph"
+        path.write_text("n 3000\n1 2 1\n")
+        assert main([command, "--graph", str(path), "--runs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "n=3000 too large for exhaustive enumeration (limit 24)" in err
+
+    @pytest.mark.parametrize("flags", [["--f0", "1e-310"], ["--f0", "3e-308"],
+                                       ["--f0", "1e-300", "--settle-periods", "1e9"],
+                                       ["--f0", "1e308"]])
+    def test_circuit_f0_without_a_finite_step_count_exits_1(self, triangle_file, capsys,
+                                                            flags):
+        rc = main(["solve", "--graph", triangle_file, "--backend", "circuit",
+                   "--runs", "1"] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"f0={flags[1]} Hz" in err.replace("1e+308", "1e308")
+
+    @pytest.mark.parametrize("argv", [["solve", "--out", "{missing}/r.json"],
+                                      ["solve", "--trace", "{missing}/t.csv"],
+                                      ["oracle", "--out", "{missing}/o.txt"]])
+    def test_unwritable_output_exits_1(self, triangle_file, tmp_path, capsys, argv):
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing) for a in argv]
+        if argv[0] == "solve":
+            argv += ["--runs", "2", "--settle-periods", "6"]
+        assert main(argv + ["--graph", triangle_file]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(missing) in err
+
+    def test_failed_allocation_exits_1(self, triangle_file, monkeypatch, capsys):
+        from oscim import cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 23.3 GiB for an array")
+
+        monkeypatch.setattr(cli, "run_many", no_memory)
+        assert main(["solve", "--graph", triangle_file, "--settle-periods", "1e9"]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 23.3 GiB for an array\n"
+
+    def test_weights_past_the_float_limit_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.graph"
+        path.write_text("n 3\n1 2 1e308\n2 3 1e308\n")
+        assert main(["solve", "--graph", str(path), "--runs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "total |weight|" in err
+
     @pytest.mark.parametrize("flags", [["--runs", "0"],
                                        ["--backend", "circuit", "--noise", "0.5"]])
     def test_run_checks_precede_the_oracle(self, tmp_path, monkeypatch, capsys, flags):

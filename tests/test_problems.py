@@ -80,6 +80,13 @@ class TestGraph:
         with pytest.raises(ValueError, match=f"{what} must be numeric"):
             Graph(n=n, edges=(edge,))
 
+    def test_rejects_weights_past_the_float_limit(self):
+        # each weight is finite, but their |sum| and the oracle's cut are not
+        with pytest.raises(ValueError, match=r"total \|weight\| of the edges must be finite"):
+            Graph(n=3, edges=((1, 2, 1e308), (2, 3, 1e308)))
+        with pytest.raises(ValueError, match=r"total \|weight\|"):
+            Graph(n=3, edges=((1, 2, 1e308), (2, 3, -1e308)))
+
     def test_accepts_whole_floats(self):
         g = Graph(n=3.0, edges=((1.0, 3.0, 2.0),))
         assert g == Graph(n=3, edges=((1, 3, 2.0),))
@@ -242,6 +249,13 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="too large"):
             brute_force_max_cut(Graph(n=25, edges=()))
 
+    def test_weight_near_the_float_limit(self):
+        # the margin and the screen overflow, which keeps every entry; the
+        # suite turns numpy's overflow warnings into errors
+        opt, configs = brute_force_max_cut(Graph(n=2, edges=((1, 2, 1e308),)))
+        assert opt == 1e308
+        assert configs == {(1, -1), (-1, 1)}
+
     @staticmethod
     def full_enumeration(g):
         """Every one of the 2^n configurations, edges summed in stored order."""
@@ -340,6 +354,12 @@ class TestGroundStates:
         p = IsingProblem(J=[[0, -1], [-1, 0]], h=[0, 0])
         emin, configs = brute_force_ground_states(p)
         assert emin == -1.0
+        assert configs == {(1, -1), (-1, 1)}
+
+    def test_coupling_near_the_float_limit(self):
+        p = IsingProblem(J=[[0, -1e308], [-1e308, 0]], h=[0, 0])
+        emin, configs = brute_force_ground_states(p)
+        assert emin == -1e308
         assert configs == {(1, -1), (-1, 1)}
 
     def test_triangle_degeneracy(self):
