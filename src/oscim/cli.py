@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # GraphFormatError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except SimulationDiverged as exc:
