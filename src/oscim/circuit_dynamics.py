@@ -82,6 +82,12 @@ _CAL_TOLERANCE = 0.005
 # length of the seeded free run that calibration measures and whose end state,
 # on the limit cycle, starts the state table
 _SETTLE_PERIODS = 40.0
+# largest f0 calibrated_params accepts.  Up to about 1.87e304 Hz the smallest
+# step fraction RK4 forms, a sixth of the finest rung's step, is a normal
+# float, so every step keeps full precision and the circuit scales exactly
+# with f0; from about 5e305 Hz the summer's derivatives (rate about 308 * f0)
+# overflow.
+_MAX_F0 = 1e304  # Hz
 
 
 def _solve_output(c, guess):
@@ -352,10 +358,13 @@ def calibrated_params(f0: float) -> OscParams:
     1/(2*pi*RC*sqrt(6)) = f0), checked by the measured free run of
     _seeded_settle, which runs once per f0.  The circuit scales in time with
     RC, so that run's frequency is the same fraction of f0 (0.99892) at every
-    f0; no refinement is needed.  An f0 whose R is not finite and positive is
-    refused."""
+    f0; no refinement is needed.  An f0 above _MAX_F0, or whose R is not
+    finite and positive, is refused."""
     if f0 <= 0:
         raise ValueError("target frequency must be positive")
+    if f0 > _MAX_F0:
+        raise ValueError(f"f0={f0:g} Hz is out of range: the circuit kernel takes f0 up to "
+                         f"{_MAX_F0:g} Hz")
     with np.errstate(over="ignore"):  # an f0 near 0 needs R = inf, refused below
         R = 1.0 / (TWO_PI * f0 * np.sqrt(6.0)) / CAPACITANCE
     if not 0.0 < R < math.inf:
@@ -422,9 +431,8 @@ def run_readout_batch(m: MachineConfig, sched, seeds) -> tuple[np.ndarray, np.nd
     through multiplier/limited-integrator detectors against oscillator 1,
     all n-1 detectors of all runs in one call.
     """
-    _, _, times, outputs, _ = _protocol_run(m, sched, seeds)
-    dt = float(times[1] - times[0])
-    values = readout.phase_detector(outputs[..., 1:], outputs[..., :1], dt, 1.0 / m.f0)
+    outputs = _protocol_run(m, sched, seeds)[3]
+    values = readout.phase_detector(outputs[..., 1:], outputs[..., :1], SAMPLES_PER_PERIOD)
     return readout.spins_from_detectors(values)
 
 

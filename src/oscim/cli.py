@@ -67,10 +67,6 @@ def _machine_for(args, g: Graph):
     )
 
 
-def _schedule_for(args) -> RunSchedule:
-    return RunSchedule(args.free_run_periods, args.settle_periods)
-
-
 def _config_echo(args, g: Graph, m, sched: RunSchedule) -> dict:
     return {
         "backend": args.backend,
@@ -97,7 +93,7 @@ def _config_echo(args, g: Graph, m, sched: RunSchedule) -> dict:
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     m = _machine_for(args, g)
-    sched = _schedule_for(args)
+    sched = RunSchedule(args.free_run_periods, args.settle_periods)
     stats = run_many(
         g, m, backend=args.backend, sched=sched, runs=args.runs,
         seed=args.seed, parallel=not args.sequential,
@@ -151,7 +147,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
     m = _machine_for(args, g)
-    sched = _schedule_for(args)
+    sched = RunSchedule(args.free_run_periods, args.settle_periods)
     scales = _parse_scales(args.scales) if args.scales is not None else DEFAULT_SCALE_GRID
     rows = sweep_coupling(
         g, m, backend=args.backend, sched=sched, scales=tuple(scales),
@@ -236,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise", type=float, default=0.0)
         p.add_argument("--free-run-periods", type=float, default=sched.free_run_periods)
         p.add_argument("--settle-periods", type=float, default=sched.settle_periods)
-        p.add_argument("--sequential", action="store_true",
-                       help="run one simulation at a time instead of batched")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p_solve = sub.add_parser("solve", help="run the machine and report statistics")
     common(p_solve)
     p_solve.add_argument("--trace", default=None, help="also write a per-sample CSV trace")
+    p_solve.add_argument("--sequential", action="store_true",
+                         help="run one simulation at a time instead of batched")
     p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="brute-force optimum and maximizers")

@@ -11,14 +11,13 @@ bit for bit.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import circuit_dynamics as circuit
-from . import phase_dynamics as phase
 from .machine import MachineConfig
+from .phase_dynamics import phase_protocol_run
 from .problems import Graph, brute_force_max_cut, cut_values
 from .readout import lock_period, spins_from_phases
 
@@ -158,80 +157,6 @@ def _run_results(g: Graph, optimum: float, spins, resolved, locks) -> list[RunRe
             unresolved_count=int(np.count_nonzero(~run_resolved)),
         ))
     return results
-
-
-# A seed's phase noise is one Brownian path, drawn coarse-to-fine by Levy's
-# construction: first one increment per 1/25-period step (8 units of the
-# DEFAULT_STEPS_PER_PERIOD grid, so variance 8), then, per halving, each
-# increment w splits into w/2 + sd*Z and w/2 - sd*Z.  Given w, a half has
-# standard deviation sqrt(2), 1 and 1/sqrt(2) at the halvings into 4, 2 and
-# 1 grid units.
-_BRIDGE_STEPS_PER_PERIOD = 25
-_BRIDGE_SDS = (np.sqrt(2.0), 1.0, np.sqrt(0.5))
-
-
-def _brownian_increments(rngs, n_steps: int, spp: int, n: int) -> np.ndarray:
-    """Brownian increments per step, (n_steps, B, n): run b's path from rngs[b].
-
-    Each generator draws the 1/25-period increments, then one block of
-    normals per halving, stopping at the first grid (25, 50, 100 or 200 per
-    period) that spp divides; a step sums the increments it covers (5 at
-    spp = 40).  A settle that ends inside a 1/25-period step draws the whole
-    step and drops the rest.  Entries are in units of the
-    DEFAULT_STEPS_PER_PERIOD grid, and a run's sums agree whatever spp.
-    """
-    finest = math.lcm(_BRIDGE_STEPS_PER_PERIOD, spp)  # 25 * 2**levels
-    levels = (finest // _BRIDGE_STEPS_PER_PERIOD).bit_length() - 1
-    group = finest // spp
-    coarse = -(-(n_steps * group) >> levels)  # 1/25-period steps, rounded up
-    noise = np.empty((n_steps, len(rngs), n))
-    for b, rng in enumerate(rngs):
-        w = rng.standard_normal((coarse, n)) * np.sqrt(8.0)
-        for sd in _BRIDGE_SDS[:levels]:
-            dev = rng.standard_normal(w.shape) * sd
-            w = np.stack([0.5 * w + dev, 0.5 * w - dev], axis=1).reshape(-1, n)
-        steps = w[:n_steps * group].reshape(n_steps, group, n)
-        np.einsum("kgi->ki", steps, out=noise[:, b])
-    return noise
-
-
-def phase_protocol_run(
-    m: MachineConfig,
-    sched: RunSchedule,
-    seeds: list[np.random.SeedSequence],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded protocol runs on the phase backend: (times (S,), thetas (S, B, n)).
-
-    The step count per period comes from the coupling
-    (``phase_dynamics.steps_per_period_for``).  Each run's generator draws its
-    initial phases, then, with noise, its Brownian path coarse-to-fine
-    (``_brownian_increments``): the 1/25-period increments first, then one
-    halving level at a time, only as far as the step needs.  A seed so keeps
-    one path whatever the step; a step's noise is the sum of that path's
-    increments on the DEFAULT_STEPS_PER_PERIOD grid that the step covers,
-    times noise_sigma * sqrt(1/DEFAULT_STEPS_PER_PERIOD).
-    All runs share one integration loop, which keeps run b identical to a
-    batch of seeds[b] alone.
-    """
-    n = m.n
-    K, Ks = phase.coupling_terms(m)
-    spp = phase.steps_per_period_for(K, Ks)
-    n_steps = int(round(sched.settle_periods * spp))
-    if n_steps < 1:
-        raise ValueError(
-            f"settle_periods={sched.settle_periods} is shorter than one RK4 step "
-            f"(1/{spp} period at this coupling)"
-        )
-    rngs = [np.random.default_rng(s) for s in seeds]
-    theta0 = np.stack([phase.random_initial_phases(n, r) for r in rngs])
-    noise = None
-    if m.noise_sigma > 0:
-        noise = _brownian_increments(rngs, n_steps, spp, n)
-        noise *= m.noise_sigma * np.sqrt(1.0 / phase.DEFAULT_STEPS_PER_PERIOD)
-    return phase.integrate_batch(
-        theta0, K, Ks, np.asarray(m.detuning), sched.settle_periods,
-        steps_per_period=spp, noise=noise,
-    )
 
 
 def run_many(

@@ -42,6 +42,8 @@ states it coincides (up to a constant) with the programmed Ising energy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import check_finite
@@ -51,11 +53,19 @@ TWO_PI = 2.0 * np.pi
 
 SAMPLES_PER_PERIOD = 16.0
 
-# Step counts a protocol run may use.  Each divides the last,
-# DEFAULT_STEPS_PER_PERIOD, so a coarse step's noise is a sum of whole
-# fine-grid increments and a seeded run keeps one Brownian path whatever its step.
+# Step counts a protocol run may use.  Each divides a grid the Brownian bridge
+# reaches, 25 * 2**k steps per period, so a step's noise is a sum of whole
+# bridge increments and a seeded run keeps one Brownian path whatever its step.
 STEP_RUNGS = (25, 40, 50, 100, 200)
 DEFAULT_STEPS_PER_PERIOD = STEP_RUNGS[-1]
+
+# A seed's phase noise is one Brownian path, in units of a grid of _NOISE_GRID
+# steps per period (one unit of variance per grid step), drawn coarse-to-fine
+# by Levy's construction: first one increment per 1/25-period step, variance
+# _NOISE_GRID / 25, then, per halving, each increment w splits into
+# w/2 + sd*Z and w/2 - sd*Z, sd being half the standard deviation of w.
+_BRIDGE_STEPS_PER_PERIOD = 25
+_NOISE_GRID = 200
 
 _DIVERGED = "phase at t={t:.3f} periods"
 
@@ -222,3 +232,64 @@ def simulate(m: MachineConfig, theta0, duration_periods: float) -> tuple[np.ndar
     times, thetas = integrate_batch(
         theta, K, Ks, np.asarray(m.detuning), duration_periods)
     return times, thetas[:, 0, :]
+
+
+def _brownian_increments(rngs, n_steps: int, spp: int, n: int) -> np.ndarray:
+    """Brownian increments per step, (n_steps, B, n): run b's path from rngs[b].
+
+    Each generator draws the 1/25-period increments, then one block of
+    normals per halving, stopping at the first grid (25, 50, 100, 200, ...
+    per period) that spp divides; a step sums the increments it covers (5 at
+    spp = 40).  A settle that ends inside a 1/25-period step draws the whole
+    step and drops the rest.  Entries are in units of the _NOISE_GRID grid,
+    and a run's sums agree whatever spp.
+    """
+    finest = math.lcm(_BRIDGE_STEPS_PER_PERIOD, spp)  # 25 * 2**levels
+    levels = (finest // _BRIDGE_STEPS_PER_PERIOD).bit_length() - 1
+    group = finest // spp
+    coarse = -(-(n_steps * group) >> levels)  # 1/25-period steps, rounded up
+    var = _NOISE_GRID / _BRIDGE_STEPS_PER_PERIOD  # of a 1/25-period increment
+    noise = np.empty((n_steps, len(rngs), n))
+    for b, rng in enumerate(rngs):
+        w = rng.standard_normal((coarse, n)) * np.sqrt(var)
+        for k in range(levels):
+            dev = rng.standard_normal(w.shape) * (np.sqrt(var / 2**k) / 2)
+            w = np.stack([0.5 * w + dev, 0.5 * w - dev], axis=1).reshape(-1, n)
+        steps = w[:n_steps * group].reshape(n_steps, group, n)
+        np.einsum("kgi->ki", steps, out=noise[:, b])
+    return noise
+
+
+def phase_protocol_run(m: MachineConfig, sched, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded protocol runs on the phase backend: (times (S,), thetas (S, B, n)).
+
+    sched is a ``harness.RunSchedule`` and seeds a list of SeedSequences, one
+    per run.  The step count per period comes from the coupling
+    (``steps_per_period_for``).  Each run's generator draws its initial
+    phases, then, with noise, its Brownian path coarse-to-fine
+    (``_brownian_increments``): the 1/25-period increments first, then one
+    halving level at a time, only as far as the step needs.  A seed so keeps
+    one path whatever the step; a step's noise is the sum of that path's
+    increments that the step covers, times noise_sigma * sqrt(1/_NOISE_GRID).
+    All runs share one integration loop, which keeps run b identical to a
+    batch of seeds[b] alone.
+    """
+    n = m.n
+    K, Ks = coupling_terms(m)
+    spp = steps_per_period_for(K, Ks)
+    n_steps = int(round(sched.settle_periods * spp))
+    if n_steps < 1:
+        raise ValueError(
+            f"settle_periods={sched.settle_periods} is shorter than one RK4 step "
+            f"(1/{spp} period at this coupling)"
+        )
+    rngs = [np.random.default_rng(s) for s in seeds]
+    theta0 = np.stack([random_initial_phases(n, r) for r in rngs])
+    noise = None
+    if m.noise_sigma > 0:
+        noise = _brownian_increments(rngs, n_steps, spp, n)
+        noise *= m.noise_sigma * np.sqrt(1.0 / _NOISE_GRID)
+    return integrate_batch(
+        theta0, K, Ks, np.asarray(m.detuning), sched.settle_periods,
+        steps_per_period=spp, noise=noise,
+    )

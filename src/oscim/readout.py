@@ -20,26 +20,28 @@ TOLERANCE_RAD = np.deg2rad(15.0)
 HOLD_PERIODS = 2.0
 DEAD_ZONE_FRACTION = 0.1
 
-# Multiplier + limited integrator.  The rate saturates the limiter for
-# unit-amplitude waveforms within the detector window at the nominal 3.8 kHz.
-INTEGRATOR_RATE = 2000.0  # 1/seconds
+# Multiplier + limited integrator, integrating in oscillation periods, so the
+# detector reads the same at every f0.  The rate saturates the limiter for
+# unit-amplitude waveforms within the detector window.
+INTEGRATOR_RATE = 2000.0 / 3800.0  # 1/periods: 2000 per second at 3.8 kHz
 DETECTOR_LIMIT = 1.0
 DETECTOR_PERIODS = 5.0
 
 
-def phase_detector(x: np.ndarray, x_ref: np.ndarray, dt: float, period: float) -> np.ndarray:
+def phase_detector(x: np.ndarray, x_ref: np.ndarray, samples_per_period: float) -> np.ndarray:
     """Limited integral of the pointwise product over the final detector window.
 
-    Axis 0 of x and x_ref is the sample axis; the axes after it broadcast,
-    giving one value per trailing index.  dt is the sample spacing and
-    period the oscillation period, both in the same time unit.  The sign
-    encodes the phase class; the magnitude saturates at DETECTOR_LIMIT.
+    Axis 0 of x and x_ref is the sample axis, samples_per_period samples to
+    an oscillation period; the axes after it broadcast, giving one value per
+    trailing index.  The integral is in periods, so the value does not depend
+    on f0.  The sign encodes the phase class; the magnitude saturates at
+    DETECTOR_LIMIT.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(x_ref, dtype=float)
     if x.ndim == 0 or r.ndim == 0 or x.shape[0] != r.shape[0]:
         raise ValueError("waveforms must share a leading sample axis")
-    window = int(round(DETECTOR_PERIODS * period / dt))
+    window = int(round(DETECTOR_PERIODS * samples_per_period))
     if window > x.shape[0]:
         raise ValueError(
             f"waveform too short: need {window} samples ({DETECTOR_PERIODS:g} periods), "
@@ -48,7 +50,7 @@ def phase_detector(x: np.ndarray, x_ref: np.ndarray, dt: float, period: float) -
     prod = x[-window:] * r[-window:]
     # summing a contiguous last axis keeps each run's summation order, so a
     # batch gives the same bits as its waveforms integrated one at a time
-    integral = np.moveaxis(prod, 0, -1).copy().sum(axis=-1) * dt
+    integral = np.moveaxis(prod, 0, -1).copy().sum(axis=-1) / samples_per_period
     return np.clip(INTEGRATOR_RATE * integral, -DETECTOR_LIMIT, DETECTOR_LIMIT)
 
 

@@ -221,7 +221,7 @@ def triangle_settle(spp=None, monkeypatch=None):
 
 def detector_values(times, outputs):
     return readout.phase_detector(outputs[..., 1:], outputs[..., :1],
-                                  float(times[1] - times[0]), 1.0 / F0)
+                                  circuit_dynamics.SAMPLES_PER_PERIOD)
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +358,13 @@ class TestFrequencyMeasurement:
         f = measure_free_run_frequency(free_run_trace(params, 40.0, F0))
         assert abs(f - F0) / F0 < 0.05
 
+    def test_flat_trace_raises(self):
+        t = np.arange(0, 30 / F0, 1 / (F0 * 400))
+        trace = CircuitTrace(times=t, outputs=np.zeros((len(t), 1)),
+                             sync_flags=np.zeros(len(t), bool))
+        with pytest.raises(RuntimeError, match="flat trace"):
+            measure_free_run_frequency(trace)
+
 
 class TestCalibration:
     def test_analytic_seed_for_3800(self):
@@ -370,6 +377,29 @@ class TestCalibration:
     def test_f0_without_a_finite_resistor_is_refused(self, f0):
         with pytest.raises(ValueError, match=re.escape(f"f0={f0:g} Hz is out of range")):
             calibrated_params(f0)
+
+    @pytest.mark.parametrize("f0", [0.0, -3800.0])
+    def test_non_positive_f0_is_refused(self, f0):
+        with pytest.raises(ValueError, match="target frequency must be positive"):
+            calibrated_params(f0)
+
+    @pytest.mark.parametrize("f0", [1e306, 1e307])
+    def test_f0_past_the_kernel_limit_is_refused(self, f0):
+        # R is finite and positive here, but the summer's rates overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=re.escape(f"f0={f0:g} Hz is out of range: the circuit")):
+                calibrated_params(f0)
+
+    def test_f0_at_the_limit_keeps_full_precision(self, params):
+        # a sixth of the finest rung's step, RK4's smallest fraction, is a
+        # normal float, and the seeded run measures the same fraction of f0
+        limit = circuit_dynamics._MAX_F0
+        assert 1.0 / (limit * circuit_dynamics.STEP_RUNGS[-1]) / 6.0 >= np.finfo(float).tiny
+        f_ref, _ = _seeded_settle(params, F0)
+        f_meas, _ = _seeded_settle(calibrated_params(limit), limit)
+        assert f_meas / limit == pytest.approx(f_ref / F0, rel=1e-12, abs=0)
 
     def test_interval_without_a_finite_step_count_is_refused(self, params):
         with pytest.raises(ValueError, match=r"interval of inf s at f0=1e-300 Hz"):

@@ -3,13 +3,16 @@
 import argparse
 import hashlib
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from oscim.cli import main
 
 TRIANGLE_TEXT = "n 3\n1 2 1\n2 3 1\n1 3 1\n"
 EDGE_TEXT = "n 2\n1 2 1.0\n"
+WEIGHTED3_TEXT = "n 3\n1 2 1\n2 3 0.5\n1 3 0.75\n"
 WEIGHTED8_TEXT = ("n 8\n1 2 0.7\n1 3 1.3\n2 4 0.9\n3 4 1.1\n4 5 0.3\n5 6 1.7\n"
                   "5 7 0.6\n6 8 1.2\n7 8 0.8\n2 6 0.4\n3 7 1.5\n1 8 0.55\n")
 
@@ -221,6 +224,45 @@ class TestSolve:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"f0={flags[1]} Hz" in err.replace("1e+308", "1e308")
 
+    @pytest.mark.parametrize("f0", ["1e306", "1e307"])
+    def test_circuit_f0_past_the_kernel_limit_exits_1(self, triangle_file, capsys, f0):
+        # the ladder resistor is finite here, but the summer's rates overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--graph", triangle_file, "--backend", "circuit",
+                       "--runs", "1", "--f0", f0])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: f0={float(f0):g} Hz is out of range")
+
+    def test_circuit_document_does_not_depend_on_f0(self, tmp_path, monkeypatch):
+        # f0 is only the unit of time: the circuit scales with RC, and its
+        # detectors integrate per oscillation period
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w3.graph").write_text(WEIGHTED3_TEXT)
+        docs = []
+        for f0 in ("1900", "3800", "38000", "380000", "3.8e6"):
+            assert main(["solve", "--graph", "w3.graph", "--backend", "circuit", "--runs", "4",
+                         "--settle-periods", "6", "--f0", f0, "--out", "doc.json"]) == 0
+            doc = json.loads((tmp_path / "doc.json").read_text())
+            assert doc["config"]["machine"].pop("f0_hz") == float(f0)
+            docs.append(doc)
+        assert docs[0]["unresolved_rate"] == 0.0
+        assert all(doc == docs[0] for doc in docs[1:])
+
+    def test_simulation_failure_exits_2(self, triangle_file, monkeypatch, capsys):
+        from oscim import cli
+        from oscim.errors import SimulationDiverged
+
+        def diverged(*args, **kwargs):
+            raise SimulationDiverged("non-finite phase at t=1.000 periods (run 0, oscillator 1)")
+
+        monkeypatch.setattr(cli, "run_many", diverged)
+        assert main(["solve", "--graph", triangle_file, "--runs", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "simulation failed: non-finite phase at t=1.000 periods (run 0, oscillator 1)\n")
+
     @pytest.mark.parametrize("argv", [["solve", "--out", "{missing}/r.json"],
                                       ["solve", "--trace", "{missing}/t.csv"],
                                       ["oracle", "--out", "{missing}/o.txt"]])
@@ -280,6 +322,30 @@ class TestSolve:
         assert lines[0] == "t_periods,osc1,osc2,sync"
         # default sampling: 16 per period over 10 periods, initial sample included
         assert len(lines) - 1 == pytest.approx(10 * 16, abs=1.5)
+
+    def test_circuit_trace_csv(self, triangle_file, tmp_path):
+        from oscim.circuit_dynamics import run_trace
+        from oscim.formats import parse_graph_file
+        from oscim.harness import RunSchedule
+        from oscim.machine import build_machine
+
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", "--graph", triangle_file, "--backend", "circuit", "--runs", "2",
+                     "--seed", "4", "--free-run-periods", "2", "--settle-periods", "5",
+                     "--out", str(tmp_path / "r.json"), "--trace", str(trace)]) == 0
+        header, *rows = trace.read_text().splitlines()
+        assert header == "t_periods,osc1,osc2,osc3,sync"
+        table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        times, values, sync = table[:, 0], table[:, 1:4], table[:, 4]
+        free = int(np.count_nonzero(sync == 0))
+        assert 0 < free < len(sync)
+        assert sync.tolist() == [0.0] * free + [1.0] * (len(sync) - free)
+        assert np.all(np.diff(times) > 0)
+        m = build_machine(parse_graph_file(TRIANGLE_TEXT))
+        expected = run_trace(m, RunSchedule(2.0, 5.0), 4)
+        assert np.array_equal(times, expected.times * m.f0)
+        assert np.array_equal(values, expected.outputs)
+        assert np.array_equal(sync, expected.sync_flags)
 
     def test_histogram_is_built_once(self, tmp_path, monkeypatch):
         # K6 at this coupling has 10 maximizers, each looked up in the histogram
@@ -367,6 +433,17 @@ class TestSweepCommand:
         rc = main(["sweep", "--graph", edge_file, "--runs", "2", "--scales", scales])
         assert rc == 1
         assert "global_scale" in capsys.readouterr().err
+
+    def test_bad_scale_list_exits_1(self, edge_file, capsys):
+        assert main(["sweep", "--graph", edge_file, "--runs", "2", "--scales", "1,x"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: bad scale list")
+
+    def test_sequential_is_a_solve_flag(self, edge_file, capsys):
+        # sweep always runs batched, so it does not take the flag
+        assert main(["sweep", "--graph", edge_file, "--runs", "2", "--scales", "0.1",
+                     "--sequential"]) == 1
+        assert "unrecognized arguments: --sequential" in capsys.readouterr().err
 
     def test_deterministic(self, edge_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -473,6 +550,17 @@ class TestConvert:
         bad.write_text('{"n": 1, "Q": [[NaN]]}')
         assert main(["convert", "--in", str(bad)]) == 1
         assert "Q must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [(None, "cannot read"),
+                                               ('{"n": 1, "Q": [[1.0]]', "invalid JSON in")],
+                             ids=["missing", "truncated"])
+    def test_unreadable_input_exits_1(self, tmp_path, capsys, text, message):
+        src = tmp_path / "problem.json"
+        if text is not None:
+            src.write_text(text)
+        assert main(["convert", "--in", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message} {src}")
 
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -57,6 +57,11 @@ class TestParseGraphFile:
         with pytest.raises(GraphFormatError, match="header"):
             parse_graph_file("1 2 1.0\n")
 
+    @pytest.mark.parametrize("text", ["", "# comment only\n\n"], ids=["empty", "comments"])
+    def test_file_without_a_header(self, text):
+        with pytest.raises(GraphFormatError, match="^missing 'n <count>' header$"):
+            parse_graph_file(text)
+
     def test_each_edge_is_checked_once(self, monkeypatch):
         calls = []
         check_edge = problems.check_edge
@@ -111,6 +116,11 @@ class TestProblemDocuments:
             problem_from_document({"n": 2})
         with pytest.raises(GraphFormatError):
             problem_from_document({"n": 2, "Q": [[1.0]]})  # shape mismatch
+
+    @pytest.mark.parametrize("doc", [[{"n": 1, "Q": [[1.0]]}], "Q", 3, None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(GraphFormatError, match="must be a JSON object"):
+            problem_from_document(doc)
 
     @pytest.mark.parametrize("doc, message", [
         ({"n": 2.5, "Q": [[1, 0], [0, 1]]}, "n must be a whole number, got 2.5"),

@@ -119,6 +119,12 @@ class TestRunMany:
         assert a.success_rate == b.success_rate
         assert a.mean_lock_period == b.mean_lock_period
 
+    @pytest.mark.parametrize("backend", ["circuits", "Phase", ""])
+    def test_unknown_backend_rejected(self, backend):
+        m = build_machine(TRIANGLE, global_scale=0.2)
+        with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
+            run_many(TRIANGLE, m, backend=backend, runs=2)
+
     def test_parallel_matches_sequential(self):
         m = build_machine(TRIANGLE, global_scale=0.2)
         par = run_many(TRIANGLE, m, runs=8, seed=21, parallel=True)
@@ -237,7 +243,7 @@ class TestNoisePath:
         # rewrite of the bridge must draw and combine the same numbers
         rngs = [np.random.default_rng(s) for s in harness.run_seeds(29, 3)]
         n_steps = int(round(settle * spp))
-        noise = harness._brownian_increments(rngs, n_steps, spp, 5)
+        noise = phase_dynamics._brownian_increments(rngs, n_steps, spp, 5)
         assert noise.shape == (n_steps, 3, 5)
         assert hashlib.sha256(noise.astype("<f8").tobytes()).hexdigest() == digest
 
@@ -265,6 +271,35 @@ class TestNoisePath:
         batched, *alone = recorded
         for b, noise in enumerate(alone):
             assert np.array_equal(batched[:, b:b + 1], noise)
+
+    @pytest.mark.parametrize("settle", [15.0, 15.02])
+    def test_bridge_halves_once_more_at_400_steps(self, settle):
+        # a fourth halving splits each 200-grid increment in two, with half its
+        # variance and no correlation between the halves
+        def increments(spp):
+            rngs = [np.random.default_rng(s) for s in harness.run_seeds(29, 3)]
+            return phase_dynamics._brownian_increments(rngs, int(round(settle * spp)), spp, 5)
+
+        coarse, fine = increments(200), increments(400)
+        assert fine.shape == (2 * coarse.shape[0], 3, 5)
+        pairs = fine.reshape(-1, 2, 3, 5)
+        np.testing.assert_allclose(pairs.sum(axis=1), coarse, rtol=0, atol=1e-12)
+        x = fine / np.sqrt(0.5)
+        assert abs(x.var() - 1.0) < 5 * np.sqrt(2.0 / (x.size - 1))
+        lag1 = np.corrcoef(pairs[:, 0].ravel(), pairs[:, 1].ravel())[0, 1]
+        assert abs(lag1) < 5 / np.sqrt(pairs[:, 0].size)
+
+    def test_noise_scale_does_not_follow_the_default_rung(self, monkeypatch):
+        # the bridge states its own grid: a finer default step count for
+        # integrate_batch leaves a seed's noise as it is
+        m = build_machine(K8, global_scale=K8_RUNG_SCALES[40], noise_sigma=0.05)
+        seeds = run_seeds(23, 3)
+        recorded = record_noise(monkeypatch, integrate=False)
+        harness.phase_protocol_run(m, RunSchedule(), seeds)
+        monkeypatch.setattr(phase_dynamics, "DEFAULT_STEPS_PER_PERIOD", 400)
+        harness.phase_protocol_run(m, RunSchedule(), seeds)
+        assert len(recorded) == 2
+        assert np.array_equal(recorded[0], recorded[1])
 
 
 class TestInitialPhases:
@@ -333,6 +368,11 @@ class TestRunStats:
     def test_run_records_keep_no_instance_dict(self):
         assert not hasattr(self.RUNS[0], "__dict__")
 
+    @pytest.mark.parametrize("bitstring", ["1", "10", "111"])
+    def test_run_must_be_reference_normalized(self, bitstring):
+        with pytest.raises(ValueError, match="reference-normalized"):
+            RunResult(bitstring, 1.0, True, None, 0)
+
 
 class TestSchedule:
     @pytest.mark.parametrize("field", ["free_run_periods", "settle_periods"])
@@ -340,6 +380,11 @@ class TestSchedule:
     def test_non_finite_duration_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RunSchedule(**{field: value})
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-300])
+    def test_negative_free_run_rejected(self, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RunSchedule(free_run_periods=value)
 
 
 class TestSweep:

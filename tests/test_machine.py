@@ -70,6 +70,11 @@ class TestQuantizer:
             with pytest.raises(ValueError, match="bits must be numeric"):
                 Quantizer(bits=bits)
 
+    @pytest.mark.parametrize("bits", [0, -3, 17])
+    def test_bits_outside_1_to_16_rejected(self, bits):
+        with pytest.raises(ValueError, match=f"bits must be in 1..16, got {bits}"):
+            Quantizer(bits=bits)
+
 
 class TestBuildCoupling:
     def test_single_edge_full_code(self):
@@ -235,6 +240,19 @@ class TestCouplingMatrixInvariants:
         assert c.codes.dtype == c.signs.dtype == int
         assert (c.codes[0, 1], c.signs[0, 1]) == (3, -1)
 
+    @pytest.mark.parametrize("bits, code", [(10, 1024), (4, 16)])
+    def test_rejects_codes_above_the_maximum(self, bits, code):
+        codes = np.array([[0, code], [code, 0]])
+        with pytest.raises(ValueError, match=rf"codes must lie in \[0, {(1 << bits) - 1}\]"):
+            CouplingMatrix(codes=codes, signs=np.zeros((2, 2), int),
+                           quantizer=Quantizer(bits=bits))
+
+    @pytest.mark.parametrize("sign", [2, -2])
+    def test_rejects_signs_outside_the_sign_set(self, sign):
+        signs = np.array([[0, sign], [sign, 0]])
+        with pytest.raises(ValueError, match=r"signs must be -1, 0 or \+1"):
+            CouplingMatrix(codes=np.array([[0, 3], [3, 0]]), signs=signs)
+
 
 def test_only_independent_values_are_settable():
     # sizes follow the arrays and the sync gate is a protocol step, not a field
@@ -289,6 +307,16 @@ class TestMachineConfigValidation:
     def test_detuning_at_or_below_minus_one_rejected(self, value):
         with pytest.raises(ValueError, match="detuning must be > -1"):
             build_machine(self.EDGE, detuning=(value, 0.0))
+
+    @pytest.mark.parametrize("f0", [0.0, -3800.0])
+    def test_non_positive_f0_rejected(self, f0):
+        with pytest.raises(ValueError, match="f0 must be positive"):
+            build_machine(self.EDGE, f0=f0)
+
+    @pytest.mark.parametrize("detuning", [(0.01,), (0.0, 0.01, -0.01)])
+    def test_detuning_of_the_wrong_length_rejected(self, detuning):
+        with pytest.raises(ValueError, match="one offset per oscillator"):
+            build_machine(self.EDGE, detuning=detuning)
 
 
 class TestEffectiveWeights:

@@ -21,6 +21,7 @@ from oscim.problems import (
     ising_to_qubo,
     qubo_to_ising,
     qubo_value,
+    validate_spins,
 )
 
 TRIANGLE = Graph(n=3, edges=((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)))
@@ -196,6 +197,12 @@ class TestCutValue:
                 expected.append(total)
             assert cut_values(g, spins).tobytes() == np.array(expected).tobytes()
             assert [cut_value(g, row) for row in spins] == expected
+
+    @pytest.mark.parametrize("spins", [[1, 0, -1], [1, 2, -1], [1, -1, 0.5]])
+    def test_spins_must_be_plus_or_minus_one(self, spins):
+        with pytest.raises(ValueError, match=r"spins must be exactly -1 or \+1"):
+            validate_spins(spins, 3)
+        assert validate_spins([1, -1, 1.0], 3).tolist() == [1, -1, 1]
 
 
 class TestEnergyCutIdentity:
@@ -587,6 +594,12 @@ class TestQuboConversions:
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             qubo_value(q, x)
         assert qubo_value(q, [1.0, 1]) == 3.0
+
+    @pytest.mark.parametrize("x", [[1], [0, 1, 1]])
+    def test_value_needs_one_entry_per_variable(self, x):
+        q = Qubo(Q=[[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="assignment must have length 2"):
+            qubo_value(q, x)
 
 
 def _reference_qubo_to_ising(q):

@@ -26,7 +26,7 @@ class TestPhaseDetector:
         dur = periods / self.F
         ref = sine_wave(self.F, 0.0, dur, self.DT)
         x = sine_wave(self.F, phi, dur, self.DT)
-        return phase_detector(x, ref, self.DT, 1.0 / self.F)
+        return phase_detector(x, ref, 1.0 / (self.F * self.DT))
 
     def test_in_phase_saturates_positive(self):
         assert self.detector(0.0) == pytest.approx(1.0)
@@ -47,21 +47,31 @@ class TestPhaseDetector:
     def test_window_too_short(self):
         short = sine_wave(self.F, 0.0, 2.0 / self.F, self.DT)
         with pytest.raises(ValueError, match="too short"):
-            phase_detector(short, short, self.DT, 1.0 / self.F)
+            phase_detector(short, short, 1.0 / (self.F * self.DT))
+
+    @pytest.mark.parametrize("x, ref", [
+        (np.float64(1.0), np.ones(2000)),
+        (np.ones(2000), np.float64(1.0)),
+        (np.ones(2000), np.ones(1999)),
+        (np.ones((2000, 2)), np.ones((1999, 1))),
+    ], ids=["scalar-x", "scalar-ref", "lengths", "batch-lengths"])
+    def test_waveforms_must_share_a_sample_axis(self, x, ref):
+        with pytest.raises(ValueError, match="share a leading sample axis"):
+            phase_detector(x, ref, 100)
 
     def test_batch_equals_one_dimensional_sums_bitwise(self):
         # (samples, runs, n-1) against the reference broadcast over n-1; each
         # value must equal the 1-d sum over that pair's window, bit for bit
         rng = np.random.default_rng(4)
-        dt, period = 1e-2, 0.3  # a 150-sample window out of 160 samples
+        spp = 30.0  # a 150-sample window out of 160 samples
         outputs = rng.normal(0.0, 1.0, (160, 5, 4)) * 1e-3
-        values = phase_detector(outputs[..., 1:], outputs[..., :1], dt, period)
+        values = phase_detector(outputs[..., 1:], outputs[..., :1], spp)
         assert values.shape == (5, 3)
-        window = int(round(5.0 * period / dt))
+        window = int(round(5.0 * spp))
         for b in range(5):
             for i in range(1, 4):
                 x, r = outputs[-window:, b, i], outputs[-window:, b, 0]
-                one = np.clip(2000.0 * float(np.sum(x * r) * dt), -1.0, 1.0)
+                one = np.clip(2000.0 / 3800.0 * float(np.sum(x * r) / spp), -1.0, 1.0)
                 assert values[b, i - 1] == one, (b, i)
 
 
