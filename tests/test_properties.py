@@ -14,7 +14,7 @@ from oscim.harness import RunSchedule, run_many, sweep_coupling
 from oscim.machine import build_machine
 from oscim.problems import Graph
 
-PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
 # dyadic weights keep every cut sum exact; 0 leaves the pair uncoupled
 WEIGHTS = st.integers(-8, 8).map(lambda k: k / 4.0)
