@@ -27,7 +27,7 @@ print(f"calibrated: R={params.R:.1f} ohm, C={CAPACITANCE:.2e} F, "
       f"analytic f={params.analytic_frequency:.1f} Hz")
 
 trace = free_run_trace(params, 40.0, F0)
-print(f"measured free-run frequency {measure_free_run_frequency(trace):.1f} Hz")
+print(f"measured free-run frequency {measure_free_run_frequency(trace) * F0:.1f} Hz")
 print(f"steady amplitude {steady_amplitude(trace):.2f} Vpp (design point 4.0)")
 
 edge = Graph(n=2, edges=((1, 2, 1.0),))
@@ -41,5 +41,5 @@ corr = np.mean(tail[:, 0] * tail[:, 1]) / np.sqrt(
 print(f"\ncoupled pair steady correlation {corr:+.3f} (antiphase -> -1)")
 
 with open("circuit_pair.csv", "w", encoding="utf-8") as fp:
-    write_trace_csv(fp, pair.times * F0, pair.outputs, pair.sync_flags.astype(int))
+    write_trace_csv(fp, pair.times, pair.outputs, pair.sync_flags.astype(int))
 print("wrote circuit_pair.csv (t_periods, osc1, osc2, sync)")

@@ -18,7 +18,10 @@ v1 = u - q1, v2 = v1 - q2, v3 = v2 - q3, and the ladder's KCL gives
     dq3/dt = v3/(RC)   dq2/dt = (v2 + v3)/(RC)   dq1/dt = (v1 + v2 + v3)/(RC)
 
 Small-signal analysis of the closed loop reproduces the textbook results:
-oscillation starts above gain 29 at frequency 1/(2*pi*RC*sqrt(6)).
+oscillation starts above gain 29 at frequency 1/(2*pi*RC*sqrt(6)).  The
+waveforms scale exactly with RC, so the kernel integrates in oscillation
+periods, where every rate is fixed by one time constant, RC * f0; f0 only
+names the unit.
 
 The second-harmonic source acts on the oscillation parametrically: mixed
 through the odd saturation it modulates the effective loop gain, which
@@ -82,12 +85,6 @@ _CAL_TOLERANCE = 0.005
 # length of the seeded free run that calibration measures and whose end state,
 # on the limit cycle, starts the state table
 _SETTLE_PERIODS = 40.0
-# largest f0 calibrated_params accepts.  Up to about 1.87e304 Hz the smallest
-# step fraction RK4 forms, a sixth of the finest rung's step, is a normal
-# float, so every step keeps full precision and the circuit scales exactly
-# with f0; from about 5e305 Hz the summer's derivatives (rate about 308 * f0)
-# overflow.
-_MAX_F0 = 1e304  # Hz
 
 
 def _solve_output(c, guess):
@@ -153,7 +150,7 @@ class OscParams:
 class CircuitTrace(NamedTuple):
     """Sampled amplifier outputs (volts) of a network simulation."""
 
-    times: np.ndarray  # seconds
+    times: np.ndarray  # periods
     outputs: np.ndarray  # (samples, n)
     sync_flags: np.ndarray  # per-sample gate state
 
@@ -165,25 +162,16 @@ def steps_per_period_for(m: MachineConfig, p: OscParams) -> int:
     ladder's rates of a few 1/(RC).  Through the outputs (|du/ds| <=
     SYNC_GAIN) each summer also feels its row of the coupling, so by
     Gershgorin the eigenvalues of the summers' block of the Jacobian lie within
-    SUMMER_RATIO/RC * (1 + SYNC_GAIN * max_i sum_j |W_ij|) of zero.  The step
-    1/(f0 * steps) must keep |lambda| * h <= _STABILITY_BOUND.  Machines too
-    stiff for every rung get the last.
+    SUMMER_RATIO/RC * (1 + SYNC_GAIN * max_i sum_j |W_ij|) of zero.  Per
+    period, the step 1/steps must keep |lambda| * h <= _STABILITY_BOUND.
+    Machines too stiff for every rung get the last.
     """
     rowsum = float(np.abs(effective_weights(m)).sum(axis=-1).max())
-    stiffness = SUMMER_RATIO / p.rc * (1.0 + SYNC_GAIN * rowsum)
+    stiffness = SUMMER_RATIO / (p.rc * m.f0) * (1.0 + SYNC_GAIN * rowsum)
     for spp in STEP_RUNGS:
-        if stiffness / (m.f0 * spp) <= _STABILITY_BOUND:
+        if stiffness / spp <= _STABILITY_BOUND:
             return spp
     return STEP_RUNGS[-1]
-
-
-def _step_grid(duration_s: float, f0: float, spp: int) -> tuple[int, float]:
-    """(RK4 steps, step in seconds) of an integration lasting duration_s."""
-    steps = duration_s * f0 * spp
-    if not math.isfinite(steps):
-        raise ValueError(f"an interval of {duration_s:g} s at f0={f0:g} Hz has no finite "
-                         "step count")
-    return int(round(steps)), 1.0 / (f0 * spp)
 
 
 def _integrate_network(
@@ -191,32 +179,35 @@ def _integrate_network(
     W: np.ndarray,
     shil_volts: float,
     sync_on: bool,
-    p: OscParams,
+    tau: float,
     rc_scale,
-    duration_s: float,
-    f0: float,
+    periods: float,
     spp: int = DEFAULT_STEPS_PER_PERIOD,
     record_states: bool = False,
 ):
-    """Fixed-step RK4 of the batched network, spp steps per period.
+    """Fixed-step RK4 of the batched network over a number of periods.
 
+    Time runs in oscillation periods: tau = RC * f0 is the ladder's time
+    constant in periods, and round(periods * spp) steps of 1/spp are taken.
     spp is a multiple of SAMPLES_PER_PERIOD; outputs are stored every
     spp // SAMPLES_PER_PERIOD steps, so the sample times do not depend on it.
     Returns (times, u_samples, end_state[, step_states]), step_states holding
     the state after every step.  States, state0 among them, are
     (..., n, 4) = (q1, q2, q3, s); the summer state always tracks the coupled
-    sum plus SHIL at 2*f0, while the gate decides whether the oscillator sees
-    it, so closing the gate causes no summer turn-on transient.  A non-finite
-    output stops the run at the sample it shows in.
+    sum plus SHIL at twice the oscillation frequency, while the gate decides
+    whether the oscillator sees it, so closing the gate causes no summer
+    turn-on transient.  A non-finite output stops the run at the sample it
+    shows in.
     """
     state = np.asarray(state0, dtype=float)
-    n_steps, dt = _step_grid(duration_s, f0, spp)
+    n_steps = int(round(periods * spp))
+    dt = 1.0 / spp
     sample_stride = spp // SAMPLES_PER_PERIOD
-    # per-column rates: 1/(RC) on the capacitors, the summer corner on s
+    # per-column rates per period: 1/tau on the capacitors, the summer corner on s
     rate = np.empty(state.shape)
-    rate[..., :3] = (1.0 / (p.rc * np.asarray(rc_scale)))[..., None]
-    rate[..., 3] = SUMMER_RATIO / p.rc
-    shil_w = TWO_PI * 2.0 * f0
+    rate[..., :3] = (1.0 / (tau * np.asarray(rc_scale)))[..., None]
+    rate[..., 3] = SUMMER_RATIO / tau
+    shil_w = TWO_PI * 2.0
     one_plus_g = 1.0 + GAIN
     curv = GAIN / (SAT_LEVEL * SAT_LEVEL)
 
@@ -236,12 +227,12 @@ def _integrate_network(
         return u, c
 
     n_samples = n_steps // sample_stride
-    times = sample_stride * np.arange(1, n_samples + 1) * dt
+    times = np.arange(1, n_samples + 1) / SAMPLES_PER_PERIOD
     outputs = np.empty((n_samples,) + state.shape[:-1])
     states = np.empty((n_steps,) + state.shape) if record_states else None
 
     def store(i, u):
-        check_finite(u, "circuit output at t={t:.6e} s", times[i])
+        check_finite(u, "circuit output at t={t:.6e} periods", times[i])
         outputs[i] = u
 
     # a sample's output is the next step's first-stage solve (same state, same
@@ -269,7 +260,7 @@ def _integrate_network(
         if n_steps and n_steps % sample_stride == 0:
             store(n_samples - 1, f(state, t, up, cp, k1)[0])
     # NaN and +-inf in any of an oscillator's four states both show in the max
-    check_finite(np.abs(state).max(axis=-1), "circuit state at t={t:.6e} s", t)
+    check_finite(np.abs(state).max(axis=-1), "circuit state at t={t:.6e} periods", t)
     if record_states:
         return times, outputs, state, states
     return times, outputs, state
@@ -282,7 +273,8 @@ def resolve_shil_voltage(m: MachineConfig) -> float:
 
 
 def measure_free_run_frequency(trace: CircuitTrace) -> float:
-    """Oscillator 1's frequency from its mean rising-zero-crossing interval.
+    """Oscillator 1's frequency from its mean rising-zero-crossing interval,
+    in cycles per unit of trace.times: per period, a fraction of f0.
 
     Only the steady tail of the trace counts.
     """
@@ -323,7 +315,7 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float):
     state0 = np.zeros((1, 4))
     state0[:, :3] = np.random.default_rng(12345).normal(0.0, 0.4 * SAT_LEVEL, (1, 3))
     times, outputs, state = _integrate_network(
-        state0, np.zeros((1, 1)), 0.0, False, p, 1.0, periods / f_ref, f_ref, SAMPLES_PER_PERIOD,
+        state0, np.zeros((1, 1)), 0.0, False, p.rc * f_ref, 1.0, periods, SAMPLES_PER_PERIOD,
     )
     return CircuitTrace(times, outputs, np.zeros(times.shape, dtype=bool)), state
 
@@ -336,7 +328,8 @@ def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
 
 @functools.cache
 def _seeded_settle(p: OscParams, f_ref: float):
-    """(measured frequency, limit-cycle table) from one seeded free run.
+    """(measured frequency as a fraction of f_ref, limit-cycle table) from one
+    seeded free run.
 
     The run lasts _SETTLE_PERIODS periods; calibration measures its
     frequency, and its end state starts the table: the
@@ -346,7 +339,7 @@ def _seeded_settle(p: OscParams, f_ref: float):
     """
     trace, settled = _free_run_single(p, _SETTLE_PERIODS, f_ref)
     _, _, _, states = _integrate_network(
-        settled, np.zeros((1, 1)), 0.0, False, p, 1.0, 1.0 / f_ref, f_ref, record_states=True,
+        settled, np.zeros((1, 1)), 0.0, False, p.rc * f_ref, 1.0, 1.0, record_states=True,
     )
     table = states[:, 0].copy()
     table.setflags(write=False)  # one cached array serves every caller
@@ -358,21 +351,18 @@ def calibrated_params(f0: float) -> OscParams:
     1/(2*pi*RC*sqrt(6)) = f0), checked by the measured free run of
     _seeded_settle, which runs once per f0.  The circuit scales in time with
     RC, so that run's frequency is the same fraction of f0 (0.99892) at every
-    f0; no refinement is needed.  An f0 above _MAX_F0, or whose R is not
-    finite and positive, is refused."""
+    f0; no refinement is needed.  An f0 whose R is not finite and positive is
+    refused."""
     if f0 <= 0:
         raise ValueError("target frequency must be positive")
-    if f0 > _MAX_F0:
-        raise ValueError(f"f0={f0:g} Hz is out of range: the circuit kernel takes f0 up to "
-                         f"{_MAX_F0:g} Hz")
     with np.errstate(over="ignore"):  # an f0 near 0 needs R = inf, refused below
         R = 1.0 / (TWO_PI * f0 * np.sqrt(6.0)) / CAPACITANCE
     if not 0.0 < R < math.inf:
         raise ValueError(f"f0={f0:g} Hz is out of range: it needs a ladder resistor of {R:g} ohm")
     p = OscParams(R=R)
-    f_meas, _ = _seeded_settle(p, f0)
-    if abs(f_meas - f0) / f0 > _CAL_TOLERANCE:
-        raise RuntimeError(f"calibration off target: measured {f_meas:.1f} Hz vs {f0} Hz")
+    measured, _ = _seeded_settle(p, f0)
+    if abs(measured - 1.0) > _CAL_TOLERANCE:
+        raise RuntimeError(f"calibration off target: measured {measured * f0:.1f} Hz vs {f0} Hz")
     return p
 
 
@@ -394,10 +384,11 @@ def _protocol_run(m: MachineConfig, sched, seeds):
 
     Each run's generator draws its initial phases, as on the phase backend,
     then its frequency jitter.  Returns (t_free, u_free, t_on, u_on, t_gate):
-    outputs are (samples, B, n), and t_gate ends the free interval on the step
-    grid.  Both intervals step at the rung steps_per_period_for(m, p), which
-    depends on no run, so batched and one-at-a-time runs step alike.  The
-    settle clock, and with it the SHIL source phase, restarts at zero at gate-on.
+    times are in periods, outputs are (samples, B, n), and t_gate ends the
+    free interval on the step grid.  Both intervals step at the rung
+    steps_per_period_for(m, p), which depends on no run, so batched and
+    one-at-a-time runs step alike.  The settle clock, and with it the SHIL
+    source phase, restarts at zero at gate-on.
     """
     window = readout.DETECTOR_PERIODS
     if sched.settle_periods < window:
@@ -414,14 +405,14 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     W = effective_weights(m)
     shil = resolve_shil_voltage(m)
     spp = steps_per_period_for(m, p)
+    tau = p.rc * m.f0
     t_free, u_free, final = _integrate_network(
-        state0, W, shil, False, p, rc_scale, sched.free_run_periods / m.f0, m.f0, spp,
+        state0, W, shil, False, tau, rc_scale, sched.free_run_periods, spp,
     )
     t_on, u_on, _ = _integrate_network(
-        final, W, shil, True, p, rc_scale, sched.settle_periods / m.f0, m.f0, spp,
+        final, W, shil, True, tau, rc_scale, sched.settle_periods, spp,
     )
-    free_steps, dt = _step_grid(sched.free_run_periods / m.f0, m.f0, spp)
-    return t_free, u_free, t_on, u_on, free_steps * dt
+    return t_free, u_free, t_on, u_on, round(sched.free_run_periods * spp) / spp
 
 
 def run_readout_batch(m: MachineConfig, sched, seeds) -> tuple[np.ndarray, np.ndarray]:

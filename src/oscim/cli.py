@@ -129,9 +129,7 @@ def _write_trace(args, m, sched) -> None:
         flags = np.ones(len(times), dtype=int)
     else:
         trace = run_trace(m, sched, args.seed)
-        times = trace.times * m.f0  # express in periods for the CSV contract
-        values = trace.outputs
-        flags = trace.sync_flags.astype(int)
+        times, values, flags = trace.times, trace.outputs, trace.sync_flags.astype(int)
     with open(args.trace, "w", encoding="utf-8") as fp:
         write_trace_csv(fp, times, values, flags)
 
@@ -268,7 +266,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:  # GraphFormatError is a ValueError
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:  # GraphFormatError: ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except SimulationDiverged as exc:

@@ -138,9 +138,15 @@ def oracle_max_cut(g: Graph) -> tuple[float, tuple[str, ...]]:
 
 
 def run_seeds(master_seed, runs: int) -> list[np.random.SeedSequence]:
-    """Counter-based split of the master seed; independent of execution order."""
+    """Counter-based split of the master seed; independent of execution order.
+
+    A SeedSequence master is copied before spawning, so every call with it
+    gives the same seeds and the caller's object spawns no children.
+    """
     if isinstance(master_seed, np.random.SeedSequence):
-        return master_seed.spawn(runs)
+        ss = master_seed
+        return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key,
+                                      pool_size=ss.pool_size).spawn(runs)
     return np.random.SeedSequence(master_seed).spawn(runs)
 
 

@@ -254,7 +254,7 @@ def test_criterion_07_quantization():
 def test_criterion_08_circuit_fidelity():
     p = calibrated_params(3800.0)
     trace = free_run_trace(p, 40.0, 3800.0)
-    f_meas = measure_free_run_frequency(trace)
+    f_meas = measure_free_run_frequency(trace) * 3800.0
     vpp = steady_amplitude(trace)
 
     # pi response measured in operation: a locked pair's sync drive vs output
@@ -262,15 +262,15 @@ def test_criterion_08_circuit_fidelity():
     W = np.array([[0.0, w], [w, 0.0]])
     state0 = phases_to_network_state(np.array([0.8, 2.1]), p, 3800.0)
     times, outputs, _ = _integrate_network(
-        state0[None], W, 0.25 * SAT_LEVEL, True, p,
-        np.ones((1, 2)), 30.0 / 3800.0, 3800.0,
+        state0[None], W, 0.25 * SAT_LEVEL, True, p.rc * 3800.0,
+        np.ones((1, 2)), 30.0,
     )
     i0 = int(len(times) * 0.7)
     t = times[i0:]
 
     def phase_of(x):
-        return np.arctan2(2 * np.mean(x * np.cos(TWO_PI * 3800.0 * t)),
-                          2 * np.mean(x * np.sin(TWO_PI * 3800.0 * t)))
+        return np.arctan2(2 * np.mean(x * np.cos(TWO_PI * t)),
+                          2 * np.mean(x * np.sin(TWO_PI * t)))
 
     dphi = np.degrees(
         (phase_of(outputs[i0:, 0, 0]) - phase_of(w * outputs[i0:, 0, 1]) + np.pi)

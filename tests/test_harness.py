@@ -119,6 +119,15 @@ class TestRunMany:
         assert a.success_rate == b.success_rate
         assert a.mean_lock_period == b.mean_lock_period
 
+    def test_seed_sequence_master_gives_the_same_runs_twice(self):
+        # noise makes the lock periods follow the seeds closely
+        ring = Graph(n=4, edges=((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)))
+        m = build_machine(ring, global_scale=0.2, noise_sigma=0.05)
+        ss = np.random.SeedSequence(5)
+        first = run_many(ring, m, runs=4, seed=ss)
+        assert run_many(ring, m, runs=4, seed=ss) == first
+        assert ss.n_children_spawned == 0
+
     @pytest.mark.parametrize("backend", ["circuits", "Phase", ""])
     def test_unknown_backend_rejected(self, backend):
         m = build_machine(TRIANGLE, global_scale=0.2)
