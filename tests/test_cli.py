@@ -212,6 +212,7 @@ class TestSolve:
         assert "n=3000 too large for exhaustive enumeration (limit 24)" in err
 
     @pytest.mark.parametrize("flags", [["--f0", "1e-310"], ["--f0", "3e-308"],
+                                       ["--f0", "1e-309", "--settle-periods", "1e9"],
                                        ["--f0", "1e308"]])
     def test_circuit_f0_without_a_finite_step_count_exits_1(self, triangle_file, capsys,
                                                             flags):
