@@ -44,7 +44,7 @@ import numpy as np
 from . import readout
 from .errors import check_finite
 from .machine import MachineConfig, effective_weights
-from .phase_dynamics import TWO_PI, random_initial_phases
+from .phase_dynamics import TWO_PI, check_step_count, random_initial_phases
 
 # Stored output samples per period: the phase detector's fidelity
 SAMPLES_PER_PERIOD = 100
@@ -106,14 +106,15 @@ def _solve_output(c, guess):
     for it in range(_NEWTON_ITERS + 1):
         t = np.tanh((c - u) * g_over_l)
         fu = u - L * t
-        err = np.abs(fu)
-        if np.maximum.reduce(err, axis=None) < _RESIDUAL_TOL:  # False on NaN
+        ok = np.abs(fu) < _RESIDUAL_TOL  # False on NaN
+        # all converged: count_nonzero is the cheapest such test on a few elements
+        if np.count_nonzero(ok) == ok.size:
             return u
         if it == _NEWTON_ITERS:
             break
         # converged elements take a zero step, so they stay put; the step
         # is a convex combination of u and L*t, so it never leaves [-L, L]
-        u = u - np.where(err < _RESIDUAL_TOL, 0.0, fu) / (1.0 + GAIN - GAIN * t * t)
+        u = u - np.where(ok, 0.0, fu) / (1.0 + GAIN - GAIN * t * t)
     # bisection on [-L, L] for the elements Newton left unconverged; the
     # brackets start as 0*fu +- L so a NaN residual carries into the result
     hi = 0.0 * fu + L
@@ -123,7 +124,7 @@ def _solve_output(c, guess):
         above = mid - L * np.tanh((c - mid) * g_over_l) > 0
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return np.where(err < _RESIDUAL_TOL, u, 0.5 * (lo + hi))
+    return np.where(ok, u, 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -303,9 +304,9 @@ def steady_amplitude(trace: CircuitTrace) -> float:
     return float(tail.max() - tail.min())
 
 
-def _free_run_single(p: OscParams, periods: float, f_ref: float):
-    """Seeded power-on run of one uncoupled oscillator, SAMPLES_PER_PERIOD steps
-    per period: (trace, end state).
+def _free_run_single(tau: float, periods: float):
+    """Seeded power-on run of one uncoupled oscillator of time constant tau =
+    RC * f0, SAMPLES_PER_PERIOD steps per period: (trace, end state).
 
     With no coupling, SHIL or sync, the summer state stays exactly 0, so its
     SUMMER_RATIO/RC mode, which sets the protocol rungs, is never excited.  The
@@ -315,7 +316,7 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float):
     state0 = np.zeros((1, 4))
     state0[:, :3] = np.random.default_rng(12345).normal(0.0, 0.4 * SAT_LEVEL, (1, 3))
     times, outputs, state = _integrate_network(
-        state0, np.zeros((1, 1)), 0.0, False, p.rc * f_ref, 1.0, periods, SAMPLES_PER_PERIOD,
+        state0, np.zeros((1, 1)), 0.0, False, tau, 1.0, periods, SAMPLES_PER_PERIOD,
     )
     return CircuitTrace(times, outputs, np.zeros(times.shape, dtype=bool)), state
 
@@ -323,23 +324,23 @@ def _free_run_single(p: OscParams, periods: float, f_ref: float):
 def free_run_trace(p: OscParams, periods: float, f_ref: float) -> CircuitTrace:
     """Single free oscillator from a seeded power-on state, stepped on the
     sample grid (_free_run_single)."""
-    return _free_run_single(p, periods, f_ref)[0]
+    return _free_run_single(p.rc * f_ref, periods)[0]
 
 
 @functools.cache
-def _seeded_settle(p: OscParams, f_ref: float):
-    """(measured frequency as a fraction of f_ref, limit-cycle table) from one
-    seeded free run.
+def _seeded_settle(tau: float):
+    """(measured frequency as a fraction of f0, limit-cycle table) from one
+    seeded free run at time constant tau = RC * f0.
 
     The run lasts _SETTLE_PERIODS periods; calibration measures its
     frequency, and its end state starts the table: the
     (DEFAULT_STEPS_PER_PERIOD, 4) states over one more period, recorded at
-    that rung, whose summer column is exactly 0 (_free_run_single).  A
-    process settles each oscillator once.
+    that rung, whose summer column is exactly 0 (_free_run_single).  A process
+    settles once per tau; the calibrated RC * f0 is one of two adjacent floats.
     """
-    trace, settled = _free_run_single(p, _SETTLE_PERIODS, f_ref)
+    trace, settled = _free_run_single(tau, _SETTLE_PERIODS)
     _, _, _, states = _integrate_network(
-        settled, np.zeros((1, 1)), 0.0, False, p.rc * f_ref, 1.0, 1.0, record_states=True,
+        settled, np.zeros((1, 1)), 0.0, False, tau, 1.0, 1.0, record_states=True,
     )
     table = states[:, 0].copy()
     table.setflags(write=False)  # one cached array serves every caller
@@ -349,10 +350,10 @@ def _seeded_settle(p: OscParams, f_ref: float):
 def calibrated_params(f0: float) -> OscParams:
     """The oscillator calibrated to f0: the analytic R (small-signal frequency
     1/(2*pi*RC*sqrt(6)) = f0), checked by the measured free run of
-    _seeded_settle, which runs once per f0.  The circuit scales in time with
-    RC, so that run's frequency is the same fraction of f0 (0.99892) at every
-    f0; no refinement is needed.  An f0 whose R is not finite and positive is
-    refused."""
+    _seeded_settle, which runs once per time constant RC * f0, so twice over
+    all f0.  The circuit scales in time with RC, so that run's frequency is
+    the same fraction of f0 (0.99892) at every f0; no refinement is needed.
+    An f0 whose R is not finite and positive is refused."""
     if f0 <= 0:
         raise ValueError("target frequency must be positive")
     with np.errstate(over="ignore"):  # an f0 near 0 needs R = inf, refused below
@@ -360,7 +361,7 @@ def calibrated_params(f0: float) -> OscParams:
     if not 0.0 < R < math.inf:
         raise ValueError(f"f0={f0:g} Hz is out of range: it needs a ladder resistor of {R:g} ohm")
     p = OscParams(R=R)
-    measured, _ = _seeded_settle(p, f0)
+    measured, _ = _seeded_settle(p.rc * f0)
     if abs(measured - 1.0) > _CAL_TOLERANCE:
         raise RuntimeError(f"calibration off target: measured {measured * f0:.1f} Hz vs {f0} Hz")
     return p
@@ -373,7 +374,7 @@ def phases_to_network_state(theta, p: OscParams, f0: float):
     phase backend for a given random draw.  Returns the (..., n, 4) states
     of theta's (..., n) phases, summers at 0.
     """
-    table = _seeded_settle(p, f0)[1]
+    table = _seeded_settle(p.rc * f0)[1]
     steps = table.shape[0]
     th = np.asarray(theta, dtype=float)
     return table[np.mod(np.rint(th / TWO_PI * steps).astype(int), steps)]
@@ -397,6 +398,8 @@ def _protocol_run(m: MachineConfig, sched, seeds):
             f"{window:g}-period detector window of the circuit backend"
         )
     p = calibrated_params(m.f0)
+    spp = steps_per_period_for(m, p)
+    check_step_count(sched, ("free_run_periods", "settle_periods"), spp)
     rngs = [np.random.default_rng(s) for s in seeds]
     theta0 = np.stack([random_initial_phases(m.n, r) for r in rngs])
     jitter = np.stack([r.uniform(-FREERUN_JITTER, FREERUN_JITTER, m.n) for r in rngs])
@@ -404,7 +407,6 @@ def _protocol_run(m: MachineConfig, sched, seeds):
     rc_scale = 1.0 / ((1.0 + np.asarray(m.detuning)) * (1.0 + jitter))
     W = effective_weights(m)
     shil = resolve_shil_voltage(m)
-    spp = steps_per_period_for(m, p)
     tau = p.rc * m.f0
     t_free, u_free, final = _integrate_network(
         state0, W, shil, False, tau, rc_scale, sched.free_run_periods, spp,

@@ -134,6 +134,14 @@ def random_initial_phases(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.0, TWO_PI, n)
 
 
+def check_step_count(sched, names, spp: int) -> None:
+    """Refuse, by name, an interval of sched whose periods * spp is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(sched, name) * spp):
+            raise ValueError(f"{name}={getattr(sched, name):g} has no finite step count at "
+                             f"{spp} steps per period")
+
+
 def steps_per_period_for(K, Ks) -> int:
     """Smallest STEP_RUNGS entry whose RK4 step resolves the coupling's stiffness.
 
@@ -277,6 +285,7 @@ def phase_protocol_run(m: MachineConfig, sched, seeds) -> tuple[np.ndarray, np.n
     n = m.n
     K, Ks = coupling_terms(m)
     spp = steps_per_period_for(K, Ks)
+    check_step_count(sched, ("settle_periods",), spp)
     n_steps = int(round(sched.settle_periods * spp))
     if n_steps < 1:
         raise ValueError(

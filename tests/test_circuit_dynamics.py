@@ -392,14 +392,14 @@ class TestCalibration:
         # the circuit scales in time with RC and the seeded run takes the same
         # steps per period at every f0, so one check suffices for calibration:
         # the measured frequency, in cycles per period, is one fixed fraction
-        f_ref, _ = _seeded_settle(params, F0)
-        f_meas, _ = _seeded_settle(calibrated_params(f0), f0)
+        f_ref, _ = _seeded_settle(params.rc * F0)
+        f_meas, _ = _seeded_settle(calibrated_params(f0).rc * f0)
         assert f_meas == pytest.approx(f_ref, rel=1e-12, abs=0)
         assert f_ref == pytest.approx(0.998918810510049, rel=1e-12, abs=0)
 
     def test_off_target_measurement_raises(self, monkeypatch):
         monkeypatch.setattr(circuit_dynamics, "_seeded_settle",
-                            lambda p, f0: (0.99, None))
+                            lambda tau: (0.99, None))
         with pytest.raises(RuntimeError, match="calibration off target"):
             calibrated_params(2500.0)
 
@@ -419,17 +419,41 @@ class TestSettleReuse:
     def test_table_equals_independent_settle(self, params):
         # the table starts from the end of calibration's 40-period run; a separate
         # 40-period settle from the same seeded start must give the same bits
-        settled = _free_run_single(params, 40.0, F0)[1]
+        settled = _free_run_single(params.rc * F0, 40.0)[1]
         _, _, _, states = _integrate_network(
             settled, np.zeros((1, 1)), 0.0, False, params.rc * F0, 1.0, 1.0, record_states=True,
         )
-        assert np.array_equal(_seeded_settle(params, F0)[1], states[:, 0])
+        assert np.array_equal(_seeded_settle(params.rc * F0)[1], states[:, 0])
+
+    def test_one_settle_per_time_constant(self, monkeypatch):
+        # the settle depends on f0 only through tau = RC * f0, which takes two
+        # adjacent floats over these f0, so two seeded runs serve them all
+        misses = _seeded_settle.cache_info().misses
+        f0s = (1900.0, 3800.0, 1e7, 1.0, 3801.7, 1e-300)
+        taus = {calibrated_params(f0).rc * f0 for f0 in f0s}
+        assert _seeded_settle.cache_info().misses - misses <= 2
+        lo, hi = calibrated_params(1900.0), calibrated_params(1e7)
+        tables = []
+
+        def recording(tau):
+            tables.append(_seeded_settle(tau)[1])
+            return _seeded_settle(tau)
+
+        monkeypatch.setattr(circuit_dynamics, "_seeded_settle", recording)
+        phases_to_network_state(np.array([0.3, 2.0]), lo, 1900.0)
+        phases_to_network_state(np.array([0.3, 2.0]), hi, 1e7)
+        assert tables[0] is tables[1]
+        for tau in taus:
+            assert _seeded_settle(tau)[0] == 0.9989188105100489  # 0.998918810510049 to 15 digits
 
 
 class TestCalibrationGrid:
     def test_calibration_steps_on_the_sample_grid(self, monkeypatch):
-        # a fresh f0 builds its calibration and table here; each RK4 step makes
-        # four output solves and a run ending on a sample one more
+        # a fresh settle builds its calibration and table here (3100 Hz shares
+        # its time constant with other f0, so the cache is cleared first);
+        # each RK4 step makes four output solves and a run ending on a sample
+        # one more
+        _seeded_settle.cache_clear()
         calls = []
         real = circuit_dynamics._solve_output
 
@@ -446,7 +470,7 @@ class TestCalibrationGrid:
         assert (len(calls) == 4 * 40 * circuit_dynamics.SAMPLES_PER_PERIOD + 1
                 + 4 * spp + 1 == 16802)
         calls.clear()
-        table = _seeded_settle(p, f0)[1]
+        table = _seeded_settle(p.rc * f0)[1]
         # the cached table costs no further solve
         assert len(calls) == 0
         assert table.shape == (spp, 4)
@@ -468,10 +492,10 @@ class TestCalibrationGrid:
             return trace, state
 
         trace, state = free_run(circuit_dynamics.SAMPLES_PER_PERIOD)
-        f_meas = _seeded_settle(params, F0)[0]
+        f_meas = _seeded_settle(params.rc * F0)[0]
         # the run above is calibration's own, bit for bit
         assert measure_free_run_frequency(trace) == f_meas
-        assert np.array_equal(state, _free_run_single(params, 40.0, F0)[1])
+        assert np.array_equal(state, _free_run_single(params.rc * F0, 40.0)[1])
         ref_trace, ref_state = free_run(800)
         assert np.array_equal(trace.times, ref_trace.times)
         assert np.abs(trace.outputs - ref_trace.outputs).max() < 2.5e-4

@@ -281,6 +281,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("backend, flag", [("phase", "--settle-periods"),
+                                               ("circuit", "--settle-periods"),
+                                               ("circuit", "--free-run-periods")])
+    def test_interval_without_a_finite_step_count_is_named(self, triangle_file, capsys,
+                                                           backend, flag):
+        assert main(["solve", "--graph", triangle_file, "--backend", backend, "--runs", "1",
+                     flag, "1e307"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        name = flag.removeprefix("--").replace("-", "_")
+        assert f"{name}=1e+307 has no finite step count" in err
+
     def test_weights_past_the_float_limit_exit_1(self, tmp_path, capsys):
         path = tmp_path / "huge.graph"
         path.write_text("n 3\n1 2 1e308\n2 3 1e308\n")
