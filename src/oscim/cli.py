@@ -59,11 +59,11 @@ def _load_graph(path: str) -> Graph:
         raise GraphFormatError(f"cannot read graph file {path}: {exc}")
 
 
-def _machine_for(args, g: Graph):
+def _machine_for(args, g: Graph, **settings):
     _check_enumerable(g.n)  # run_many's oracle would refuse g only after this allocation
     return build_machine(
-        g, quantizer=Quantizer(bits=args.bits), global_scale=args.coupling,
-        shil_amplitude=args.shil, f0=args.f0, noise_sigma=args.noise,
+        g, quantizer=Quantizer(bits=args.bits), shil_amplitude=args.shil, f0=args.f0,
+        noise_sigma=args.noise, **settings,
     )
 
 
@@ -92,7 +92,7 @@ def _config_echo(args, g: Graph, m, sched: RunSchedule) -> dict:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    m = _machine_for(args, g)
+    m = _machine_for(args, g, global_scale=args.coupling)
     sched = RunSchedule(args.free_run_periods, args.settle_periods)
     stats = run_many(
         g, m, backend=args.backend, sched=sched, runs=args.runs,
@@ -144,7 +144,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
-    m = _machine_for(args, g)
+    m = _machine_for(args, g)  # sweep_coupling sets each row's scale
     sched = RunSchedule(args.free_run_periods, args.settle_periods)
     scales = _parse_scales(args.scales) if args.scales is not None else DEFAULT_SCALE_GRID
     rows = sweep_coupling(
@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="graph file path")
         p.add_argument("--backend", choices=BACKENDS, default="phase")
         p.add_argument("--runs", type=int, default=100)
-        p.add_argument("--coupling", type=float, default=DEFAULT_GLOBAL_SCALE,
-                       help="global coupling scale")
         p.add_argument("--shil", type=float, default=None,
                        help="SHIL injection strength (default: auto)")
         p.add_argument("--bits", type=int, default=DEFAULT_QUANTIZER_BITS,
@@ -234,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the machine and report statistics")
     common(p_solve)
+    p_solve.add_argument("--coupling", type=float, default=DEFAULT_GLOBAL_SCALE,
+                         help="global coupling scale")
     p_solve.add_argument("--trace", default=None, help="also write a per-sample CSV trace")
     p_solve.add_argument("--sequential", action="store_true",
                          help="run one simulation at a time instead of batched")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import circuit_dynamics as circuit
+from . import circuit_dynamics as circuit, phase_dynamics
 from .machine import MachineConfig
 from .phase_dynamics import phase_protocol_run
 from .problems import Graph, brute_force_max_cut, cut_values
@@ -31,6 +31,9 @@ CUT_TOLERANCE = 1e-9
 # MAX_UNRESOLVED, and is good enough once it reaches TARGET_SUCCESS.
 MAX_UNRESOLVED = 0.05
 TARGET_SUCCESS = 0.8
+
+# Finest rung of either backend; each schedule interval needs a finite step count at it.
+FINEST_STEPS_PER_PERIOD = max(phase_dynamics.STEP_RUNGS[-1], circuit.STEP_RUNGS[-1])
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,12 @@ class RunSchedule:
 
     def __post_init__(self):
         for name in ("free_run_periods", "settle_periods"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            periods = float(getattr(self, name))
+            if not np.isfinite(periods):
+                raise ValueError(f"{name} must be finite, got {periods}")
+            if not np.isfinite(periods * FINEST_STEPS_PER_PERIOD):
+                raise ValueError(f"{name}={periods:g} has no finite step count at "
+                                 f"{FINEST_STEPS_PER_PERIOD} steps per period")
         if self.free_run_periods < 0 or self.settle_periods <= 0:
             raise ValueError("schedule durations must be nonnegative (settle positive)")
 
@@ -141,8 +148,11 @@ def run_seeds(master_seed, runs: int) -> list[np.random.SeedSequence]:
     """Counter-based split of the master seed; independent of execution order.
 
     A SeedSequence master is copied before spawning, so every call with it
-    gives the same seeds and the caller's object spawns no children.
+    gives the same seeds and the caller's object spawns no children.  Other
+    entropy passes to numpy, except a negative integer, refused by name.
     """
+    if isinstance(master_seed, (int, np.integer)) and master_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master_seed}")
     if isinstance(master_seed, np.random.SeedSequence):
         ss = master_seed
         return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key,
@@ -190,8 +200,8 @@ def run_many(
     if backend == "circuit" and m.noise_sigma > 0:
         raise ValueError("noise_sigma > 0 is modelled on the phase backend only")
     sched = sched or RunSchedule()
-    optimum, _ = oracle_max_cut(g)
     seeds = run_seeds(seed, runs)
+    optimum, _ = oracle_max_cut(g)
     batches = [seeds] if parallel else [[s] for s in seeds]
     results = []
     for batch in batches:
@@ -213,17 +223,17 @@ def sweep_coupling(
     sched: RunSchedule | None = None,
     scales: tuple[float, ...] = (),
     runs_per_point: int = 50,
-    seed: int = 0,
+    seed=0,
 ) -> list[tuple[float, RunStats]]:
     """One (scale, RunStats) row per global coupling scale; deterministic.
 
-    Row i runs ``run_many`` with child i of ``SeedSequence(seed)``.
+    Row i runs ``run_many`` with child i of ``run_seeds(seed, len(scales))``.
     """
     if not scales:
         raise ValueError("scale list must be nonempty")
     # every scale's machine is checked before the first run
     machines = [replace(m, global_scale=float(scale)) for scale in scales]
-    children = np.random.SeedSequence(seed).spawn(len(scales))
+    children = run_seeds(seed, len(scales))
     return [
         (scaled.global_scale,
          run_many(g, scaled, backend, sched, runs=runs_per_point, seed=child, parallel=True))

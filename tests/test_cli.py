@@ -3,11 +3,13 @@
 import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oscim.cli import main
+from oscim.cli import build_parser, main
 
 TRIANGLE_TEXT = "n 3\n1 2 1\n2 3 1\n1 3 1\n"
 EDGE_TEXT = "n 2\n1 2 1.0\n"
@@ -72,6 +74,23 @@ class TestParser:
         assert capsys.readouterr().out == first
         assert len(parsers) == 3
         assert parsers[0] is parsers[1] is parsers[2]
+
+    def test_readme_synopsis_lists_every_option(self):
+        # the first code block under "## CLI"; a command's line continues on
+        # the indented lines below it
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        synopsis = {}
+        for line in block.strip().splitlines():
+            if line.startswith("oscim "):
+                command = line.split()[1]
+            synopsis[command] = synopsis.get(command, set()) | set(
+                re.findall(r"--[a-z][a-z0-9-]*", line))
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        options = {name: {opt for action in sub._actions for opt in action.option_strings}
+                   - {"-h", "--help"} for name, sub in commands.items()}
+        assert synopsis == options
 
 
 class TestSolve:
@@ -283,7 +302,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("backend, flag", [("phase", "--settle-periods"),
                                                ("circuit", "--settle-periods"),
-                                               ("circuit", "--free-run-periods")])
+                                               ("circuit", "--free-run-periods"),
+                                               ("phase", "--free-run-periods")])
     def test_interval_without_a_finite_step_count_is_named(self, triangle_file, capsys,
                                                            backend, flag):
         assert main(["solve", "--graph", triangle_file, "--backend", backend, "--runs", "1",
@@ -292,6 +312,32 @@ class TestSolve:
         assert err.count("\n") == 1 and err.startswith("error: ")
         name = flag.removeprefix("--").replace("-", "_")
         assert f"{name}=1e+307 has no finite step count" in err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("backend, flag", [("phase", "--settle-periods"),
+                                               ("circuit", "--settle-periods"),
+                                               ("circuit", "--free-run-periods")])
+    def test_schedule_refusal_precedes_calibration_and_phases(
+            self, triangle_file, monkeypatch, capsys, command, backend, flag):
+        from oscim import circuit_dynamics, phase_dynamics
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the schedule was checked")
+
+        monkeypatch.setattr(circuit_dynamics, "calibrated_params", no_work)
+        monkeypatch.setattr(circuit_dynamics, "random_initial_phases", no_work)
+        monkeypatch.setattr(phase_dynamics, "random_initial_phases", no_work)
+        assert main([command, "--graph", triangle_file, "--backend", backend, "--runs", "1",
+                     flag, "1e307"]) == 1
+        name = flag.removeprefix("--").replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: {name}=1e+307 has no finite step count at 400 steps per period\n")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_negative_seed_is_named(self, triangle_file, capsys, command):
+        assert main([command, "--graph", triangle_file, "--runs", "1", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n")
 
     def test_weights_past_the_float_limit_exit_1(self, tmp_path, capsys):
         path = tmp_path / "huge.graph"
@@ -451,6 +497,12 @@ class TestSweepCommand:
         assert main(["sweep", "--graph", edge_file, "--runs", "2", "--scales", "0.1",
                      "--sequential"]) == 1
         assert "unrecognized arguments: --sequential" in capsys.readouterr().err
+
+    def test_coupling_is_a_solve_flag(self, edge_file, capsys):
+        # each row's scale comes from --scales, so a --coupling value could change nothing
+        assert main(["sweep", "--graph", edge_file, "--runs", "2", "--scales", "0.1",
+                     "--coupling", "0.3"]) == 1
+        assert "unrecognized arguments: --coupling 0.3" in capsys.readouterr().err
 
     def test_deterministic(self, edge_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

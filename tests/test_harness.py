@@ -128,6 +128,24 @@ class TestRunMany:
         assert run_many(ring, m, runs=4, seed=ss) == first
         assert ss.n_children_spawned == 0
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_is_named_before_the_oracle(self, seed, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the seed was checked")
+
+        harness.oracle_max_cut.cache_clear()
+        monkeypatch.setattr(harness, "brute_force_max_cut", no_oracle)
+        m = build_machine(TRIANGLE)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            run_many(TRIANGLE, m, runs=2, seed=seed)
+
+    @pytest.mark.parametrize("entropy", [[3, 5], np.random.SeedSequence(7)])
+    def test_other_numpy_entropy_is_accepted(self, entropy):
+        m = build_machine(TRIANGLE)
+        assert run_many(TRIANGLE, m, runs=2, seed=entropy).runs == 2
+        assert len(sweep_coupling(TRIANGLE, m, scales=(0.1,), runs_per_point=2,
+                                  seed=entropy)) == 1
+
     @pytest.mark.parametrize("backend", ["circuits", "Phase", ""])
     def test_unknown_backend_rejected(self, backend):
         m = build_machine(TRIANGLE, global_scale=0.2)
@@ -390,6 +408,15 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RunSchedule(**{field: value})
 
+    @pytest.mark.parametrize("field", ["free_run_periods", "settle_periods"])
+    def test_interval_without_a_finite_step_count_rejected(self, field):
+        # 1e307 periods at the finest rung either backend may choose
+        assert harness.FINEST_STEPS_PER_PERIOD == 400
+        with pytest.raises(ValueError, match=(f"^{field}=1e\\+307 has no finite step count "
+                                              "at 400 steps per period$")):
+            RunSchedule(**{field: 1e307})
+        assert getattr(RunSchedule(**{field: 1e305}), field) == 1e305
+
     @pytest.mark.parametrize("value", [-1.0, -1e-300])
     def test_negative_free_run_rejected(self, value):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -413,6 +440,15 @@ class TestSweep:
             scaled = dataclasses.replace(m, global_scale=scales[i])
             assert type(scale) is float and scale == scales[i]
             assert stats == run_many(TRIANGLE, scaled, runs=6, seed=child)
+
+    def test_negative_seed_is_named_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scale ran before the seed was checked")
+
+        monkeypatch.setattr(harness, "run_many", no_run)
+        m = build_machine(TRIANGLE)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            sweep_coupling(TRIANGLE, m, scales=(0.1, 0.2), runs_per_point=2, seed=-1)
 
     def test_empty_scales_rejected(self):
         m = build_machine(TRIANGLE)

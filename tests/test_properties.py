@@ -1,6 +1,6 @@
-"""Property-based contracts: the run protocol on random small phase machines,
-the screened oracles against full enumeration, and the file formats and
-QUBO conversion.
+"""Property-based contracts: the run protocol and the phase step rule on
+random small phase machines, the screened oracles against full enumeration,
+and the file formats and QUBO conversion.
 
 hypothesis draws the inputs; ``derandomize=True`` and ``database=None``
 keep every Tier-1 run drawing the same examples and writing nothing.
@@ -12,16 +12,19 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oscim.formats import (document_bytes, ising_to_document, parse_graph_file,
                            problem_from_document, qubo_to_document)
-from oscim.harness import RunSchedule, run_many, sweep_coupling
+from oscim.harness import RunSchedule, phase_protocol_run, run_many, run_seeds, sweep_coupling
 from oscim.machine import build_machine
+from oscim.phase_dynamics import (TWO_PI, coupling_terms, integrate_batch,
+                                  random_initial_phases, steps_per_period_for)
 from oscim.problems import (Graph, IsingProblem, Qubo, brute_force_ground_states,
                             brute_force_max_cut, cut_values, energies, energy, qubo_to_ising,
                             qubo_value)
+from oscim.readout import spins_from_phases
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -32,16 +35,16 @@ SCHEDULES = st.sampled_from([RunSchedule(settle_periods=5.0), RunSchedule(settle
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(2, 6))
+def graphs(draw, sizes=st.integers(2, 6)):
+    n = draw(sizes)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     weights = draw(st.lists(WEIGHTS, min_size=len(pairs), max_size=len(pairs)))
     return Graph(n=n, edges=tuple((u, v, w) for (u, v), w in zip(pairs, weights) if w))
 
 
 @st.composite
-def machines(draw):
-    g = draw(graphs())
+def machines(draw, sizes=st.integers(2, 6)):
+    g = draw(graphs(sizes))
     m = build_machine(g, global_scale=draw(SCALES), noise_sigma=draw(st.sampled_from([0.0, 0.05])))
     return g, m
 
@@ -58,6 +61,17 @@ def test_batched_runs_equal_runs_one_at_a_time(gm, sched, runs, seed):
     assert batched == alone
 
 
+# each machine size draws its own examples, so every n from 2 to 6 is covered
+@pytest.mark.parametrize("n", range(2, 7))
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_batched_runs_equal_runs_one_at_a_time_at_each_size(n, data):
+    g, m = data.draw(machines(st.just(n)))
+    sched, runs, seed = data.draw(SCHEDULES), data.draw(st.integers(1, 4)), data.draw(SEEDS)
+    batched = run_many(g, m, sched=sched, runs=runs, seed=seed)
+    assert batched == run_many(g, m, sched=sched, runs=runs, seed=seed, parallel=False)
+
+
 @PROPERTY_SETTINGS
 @given(machines(), SCHEDULES, st.lists(SCALES, min_size=1, max_size=3), st.integers(1, 4), SEEDS)
 def test_sweep_row_is_run_many_with_its_child_seed(gm, sched, scales, runs, seed):
@@ -69,6 +83,34 @@ def test_sweep_row_is_run_many_with_its_child_seed(gm, sched, scales, runs, seed
     for (scale, stats), child in zip(rows, children):
         scaled = dataclasses.replace(m, global_scale=scale)
         assert stats == run_many(g, scaled, sched=sched, runs=runs, seed=child)
+
+
+STEP_SCHED = RunSchedule(settle_periods=10.0)
+# log-uniform on a grid from 0.05 to 8
+LOG_SCALES = st.sampled_from([0.05 * 160.0 ** (k / 40) for k in range(41)])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(graphs(), LOG_SCALES, SEEDS)
+def test_phase_spins_at_the_chosen_rung_equal_spins_at_four_times_its_steps(g, scale, seed):
+    # noise-free; the rung must keep h * L <= 1 (steps_per_period_for), and a
+    # machine too stiff for every rung sits on the fallback and is only counted
+    m = build_machine(g, global_scale=scale)
+    K, Ks = coupling_terms(m)
+    spp = steps_per_period_for(K, Ks)
+    if TWO_PI / spp * (2.0 * np.abs(K).sum(axis=-1).max() + 2.0 * abs(Ks)) > 1.0:
+        event("fallback: h*L > 1 at every rung")
+        return
+    event(f"rung {spp}")
+    seeds = run_seeds(seed, 3)
+    _, thetas = phase_protocol_run(m, STEP_SCHED, seeds)
+    theta0 = np.stack([random_initial_phases(g.n, np.random.default_rng(s)) for s in seeds])
+    _, ref = integrate_batch(theta0, K, Ks, np.zeros(g.n), STEP_SCHED.settle_periods,
+                             steps_per_period=4 * spp)
+    spins, resolved = spins_from_phases(thetas[-1])
+    ref_spins, ref_resolved = spins_from_phases(ref[-1])
+    both = resolved.all(axis=-1) & ref_resolved.all(axis=-1)
+    assert np.array_equal(spins[both], ref_spins[both])
 
 
 # oracle weights: small integers, which tie often, or log-uniform magnitudes
